@@ -206,7 +206,9 @@ Measurement measure_engine(ppk::pp::Engine engine,
   }
 }
 
-const char* engine_name(ppk::pp::Engine e) {
+/// The report's engine labels ("sharded", not pp::engine_name's
+/// "batch-sharded": BENCH_ENGINES.json rows are keyed by them).
+const char* report_engine_name(ppk::pp::Engine e) {
   switch (e) {
     case ppk::pp::Engine::kAgentArray: return "agent";
     case ppk::pp::Engine::kCountVector: return "count";
@@ -436,9 +438,9 @@ int main(int argc, char** argv) {
       // gate is tight exactly when the machine was quiet enough to earn it.
       const double rep_spread = norm_hi > 0.0 ? 1.0 - norm_lo / norm_hi : 0.0;
       rows.push_back(
-          {c, engine_name(engine), m, rate, calibration, rep_spread});
-      table.row(int{c.k}, c.n, engine_name(engine), m.interactions, m.seconds,
-                m.stabilized ? "yes" : "no", rate / 1e6);
+          {c, report_engine_name(engine), m, rate, calibration, rep_spread});
+      table.row(int{c.k}, c.n, report_engine_name(engine), m.interactions,
+                m.seconds, m.stabilized ? "yes" : "no", rate / 1e6);
     }
   }
   table.print(std::cout);

@@ -460,6 +460,15 @@ auto with_engine(const pp::Protocol* protocol, const pp::TransitionTable& table,
   return fn(sim);
 }
 
+/// Tag of the snapshots the campaign's trials write: the adversarial
+/// scheduler's under a non-uniform fairness policy, else that of the
+/// engine kAuto or the caller's choice resolves to for this population.
+const char* snapshot_tag(const MonteCarloOptions& mc, std::uint64_t n) {
+  if (mc.fairness.needs_adversarial_engine()) return "adversarial";
+  return pp::engine_name(pp::resolve_engine(
+      mc.engine, n, mc.watch_state.has_value(), static_cast<bool>(mc.graph)));
+}
+
 // --- the runner ------------------------------------------------------------
 
 enum class AttemptEnd { kStabilized, kStalled, kBudget, kTimedOut, kCensored };
@@ -709,11 +718,16 @@ void run_trial(Shared& s, const pp::Protocol* protocol,
 
 std::string campaign_fingerprint(const pp::Counts& initial,
                                  const CampaignOptions& options) {
+  std::uint64_t n = 0;
+  for (const std::uint32_t c : initial) n += c;
   std::ostringstream out;
   out << kCampaignSchema << " trials=" << options.mc.trials
       << " seed=" << options.mc.master_seed
       << " budget=" << options.mc.max_interactions
-      << " engine=" << static_cast<int>(options.mc.engine) << " topology="
+      << " engine=" << static_cast<int>(options.mc.engine)
+      // The engine kAuto picks can change between versions; in-flight
+      // snapshots only restore into the engine that wrote them.
+      << " snapshot=" << snapshot_tag(options.mc, n) << " topology="
       << (options.topology_tag.empty()
               ? (options.mc.graph ? "unnamed" : "complete")
               : options.topology_tag)

@@ -228,13 +228,14 @@ struct CampaignCheckpoint {
 };
 
 /// Deterministic one-line description of everything that shapes trial
-/// trajectories (trials, seed, budget, engine, fairness policy + epsilon,
-/// chunk size, retry policy, watch state, topology tag, initial
-/// configuration).  Stored in checkpoints and compared verbatim on
-/// resume.  The topology factory itself cannot be fingerprinted: set
-/// `CampaignOptions::topology_tag` so distinct topologies refuse each
-/// other's checkpoints; with an empty tag only graph-vs-no-graph is
-/// distinguished and resuming with a different factory is a caller error.
+/// trajectories (trials, seed, budget, engine and the snapshot tag of the
+/// engine it resolves to, fairness policy + epsilon, chunk size, retry
+/// policy, watch state, topology tag, initial configuration).  Stored in
+/// checkpoints and compared verbatim on resume.  The topology factory
+/// itself cannot be fingerprinted: set `CampaignOptions::topology_tag` so
+/// distinct topologies refuse each other's checkpoints; with an empty tag
+/// only graph-vs-no-graph is distinguished and resuming with a different
+/// factory is a caller error.
 [[nodiscard]] std::string campaign_fingerprint(const pp::Counts& initial,
                                                const CampaignOptions& options);
 

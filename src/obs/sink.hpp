@@ -113,6 +113,7 @@ class ObsSink {
   /// total to `now`; `effective` says whether it changed a state.
   void on_step(const pp::Counts& counts, std::uint64_t now, bool effective) {
     interactions_->inc();
+    advances_[static_cast<std::size_t>(AdvanceKind::kPairwise)]->inc();
     if (effective) {
       effective_->inc();
       ++effective_total_;

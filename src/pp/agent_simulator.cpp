@@ -48,12 +48,15 @@ SimResult AgentSimulator::resume(StabilityOracle& oracle,
   SimResult result;
   const std::uint64_t start = interactions_;
   const std::uint64_t start_effective = effective_;
-  while (!oracle.stable() && interactions_ - start < max_interactions) {
-    step(oracle);
+  // A null draw changes no state, so no oracle's verdict can change on
+  // one: the oracle is asked on entry and after each effective draw only.
+  bool stable = oracle.stable();
+  while (!stable && interactions_ - start < max_interactions) {
+    if (step(oracle)) stable = oracle.stable();
   }
   result.interactions = interactions_ - start;
   result.effective = effective_ - start_effective;
-  result.stabilized = oracle.stable();
+  result.stabilized = stable;
   return result;
 }
 

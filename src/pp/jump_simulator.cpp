@@ -8,69 +8,49 @@ namespace ppk::pp {
 
 JumpSimulator::JumpSimulator(const TransitionTable& table, Counts initial,
                              std::uint64_t seed)
-    : table_(&table), counts_(std::move(initial)), rng_(seed) {
+    : table_(&table),
+      adjacency_(&table.effective_adjacency()),
+      counts_(std::move(initial)),
+      rng_(seed) {
   PPK_EXPECTS(counts_.size() == table.num_states());
   n_ = 0;
   for (auto c : counts_) n_ += c;
   PPK_EXPECTS(n_ >= 2);
 
-  const StateId num_states = table.num_states();
-  rows_of_column_.resize(num_states);
-  columns_of_row_.resize(num_states);
-  for (StateId p = 0; p < num_states; ++p) {
-    for (StateId q = 0; q < num_states; ++q) {
-      if (!table.effective(p, q)) continue;
-      columns_of_row_[p].push_back(q);
-      rows_of_column_[q].push_back(p);
-    }
-  }
+  ordered_pairs_ = static_cast<double>(n_) * static_cast<double>(n_ - 1);
   rebuild_weights();
 }
 
 void JumpSimulator::rebuild_weights() {
   const StateId num_states = table_->num_states();
   row_sum_.assign(num_states, 0);
-  row_weight_.assign(num_states, 0);
   total_weight_ = 0;
   for (StateId p = 0; p < num_states; ++p) {
-    // Signed sum: the diagonal term c_p - 1 is -1 when c_p == 0; the
-    // incremental updates in apply_count_change() track exactly this
-    // signed quantity, and the row weight clamps it via the c_p factor.
-    std::int64_t signed_sum = 0;
-    for (StateId q : columns_of_row_[p]) {
-      signed_sum += static_cast<std::int64_t>(counts_[q]) - (p == q ? 1 : 0);
+    // Signed sum: the diagonal term c_p - 1 is -1 when c_p == 0, where the
+    // c_p factor zeroes the row weight anyway.
+    for (const StateId q : adjacency_->responders_of(p)) {
+      row_sum_[p] += static_cast<std::int64_t>(counts_[q]) - (p == q ? 1 : 0);
     }
-    row_sum_[p] = signed_sum;
-    row_weight_[p] =
-        counts_[p] == 0
-            ? 0
-            : counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
-    total_weight_ += row_weight_[p];
+    total_weight_ += row_weight(p);
   }
 }
 
 void JumpSimulator::apply_count_change(StateId state, std::int64_t delta) {
+  // Column `state` contributes to every row p with eff(p, state): each such
+  // row sum moves by delta, and the total by c_p * delta (with the old
+  // c_state on the diagonal row).  Then the c_state factor of row `state`
+  // moves by delta against its new sum.  Unsigned wrap-around keeps the
+  // total exact.
+  std::uint64_t occupied = 0;
+  for (const StateId p : adjacency_->initiators_of(state)) {
+    row_sum_[p] += delta;
+    occupied += counts_[p];
+  }
   counts_[state] =
       static_cast<std::uint32_t>(static_cast<std::int64_t>(counts_[state]) +
                                  delta);
-  // Column `state` contributes to every row p with eff(p, state); keep
-  // row_weight_ and the total in sync as the sums move.
-  for (StateId p : rows_of_column_[state]) {
-    row_sum_[p] += delta;
-    const std::uint64_t old_weight = row_weight_[p];
-    row_weight_[p] =
-        counts_[p] == 0
-            ? 0
-            : counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
-    total_weight_ += row_weight_[p] - old_weight;
-  }
-  // The c_p factor of row `state` itself changed as well.
-  const std::uint64_t old_weight = row_weight_[state];
-  row_weight_[state] =
-      counts_[state] == 0
-          ? 0
-          : counts_[state] * static_cast<std::uint64_t>(row_sum_[state]);
-  total_weight_ += row_weight_[state] - old_weight;
+  total_weight_ += static_cast<std::uint64_t>(delta) *
+                   (occupied + static_cast<std::uint64_t>(row_sum_[state]));
 }
 
 bool JumpSimulator::step(StabilityOracle& oracle) {
@@ -81,8 +61,7 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
   if (total_weight_ == 0) return false;  // silent configuration
 
   // Skip the geometric run of null interactions.
-  const double p_eff = static_cast<double>(total_weight_) /
-                       (static_cast<double>(n_) * static_cast<double>(n_ - 1));
+  const double p_eff = static_cast<double>(total_weight_) / ordered_pairs_;
   const std::uint64_t nulls = rng_.geometric(p_eff);
   if (nulls >= budget) {
     // The null run carries past the budget: consume exactly `budget` nulls
@@ -109,15 +88,17 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
   std::uint64_t u = rng_.below(total_weight_);
   StateId p = 0;
   for (;; ++p) {
-    if (u < row_weight_[p]) break;
-    u -= row_weight_[p];
+    const std::uint64_t w = row_weight(p);
+    if (u < w) break;
+    u -= w;
   }
   // u is uniform on [0, c_p * row_sum_p); reduce to a uniform responder
   // draw (row_weight is an exact multiple of row_sum, so % is unbiased).
+  // Row p is occupied, so every responder's weight c_q - [p==q] is >= 0.
   std::uint64_t v = u % static_cast<std::uint64_t>(row_sum_[p]);
   StateId q = 0;
-  for (StateId candidate : columns_of_row_[p]) {
-    const std::uint64_t w = column_weight(p, candidate);
+  for (const StateId candidate : adjacency_->responders_of(p)) {
+    const std::uint64_t w = counts_[candidate] - (candidate == p ? 1u : 0u);
     if (v < w) {
       q = candidate;
       break;
@@ -125,11 +106,23 @@ bool JumpSimulator::step_within(StabilityOracle& oracle, std::uint64_t budget) {
     v -= w;
   }
 
+  // Apply the rule as net count changes: the touched states p, q, p', q'
+  // may repeat, and a state whose count ends where it started needs no
+  // row update.  Each duplicate folds into its first occurrence.
   const Transition& t = table_->apply(p, q);
-  apply_count_change(p, -1);
-  apply_count_change(q, -1);
-  apply_count_change(t.initiator, +1);
-  apply_count_change(t.responder, +1);
+  const StateId touched[4] = {p, q, t.initiator, t.responder};
+  std::int64_t net[4] = {-1, -1, +1, +1};
+  for (int i = 1; i < 4; ++i) {
+    for (int j = 0; j < i; ++j) {
+      if (touched[j] != touched[i]) continue;
+      net[j] += net[i];
+      net[i] = 0;
+      break;
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    if (net[i] != 0) apply_count_change(touched[i], net[i]);
+  }
 
   if (watch_marks_ != nullptr) {
     const int delta = (t.initiator == watch_state_ ? 1 : 0) +

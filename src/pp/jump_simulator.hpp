@@ -16,25 +16,32 @@
 //   responder state  q  with weight  eff(p,q) * (c_q - [p==q])
 //
 // The row weights w_p are maintained incrementally: an effective
-// transition changes at most four state counts, and each unit count change
-// touches every row's column term once -- O(|Q|) per effective
-// interaction, independent of how many nulls were skipped.
+// transition changes at most four state counts, which are merged into
+// their net changes first (the paper's free flips, rules 1 and 2, move
+// two states by 2 each), and each state's change touches the rows that
+// react with it -- O(|Q|) per effective interaction, independent of how
+// many nulls were skipped.  The effective-pair adjacency the updates and
+// the responder scan walk is the TransitionTable's, built once per table.
+// Only the row sums are stored: a row's weight c_p * sum_p is recomputed
+// where the initiator scan reads it, so a count change costs one addition
+// per reacting row.
 //
 // Exactness: pair selection uses exact integer weights; only the geometric
 // skip length uses floating point (p_eff as a double), whose rounding is
 // ~1 ulp -- negligible against Monte-Carlo noise, and validated against
 // the exact engines in the test suite.
 //
-// When it wins: the cost per *effective* interaction is O(|Q|) (the free
-// states' columns are dense for the paper's protocol), versus the agent
-// engine's O(1) per *drawn* interaction, so the speedup is roughly
-// (null ratio) / |Q| x (agent step cost).  For the paper's protocol the
-// null ratio plateaus around 25-75 at large k (free-agent flips are
-// effective and scale with the total), giving a measured ~2x at k = 20
-// and parity elsewhere -- the ablation_engines bench reports the numbers.
-// For protocols that approach silence (rare effective pairs, e.g. the
-// endgame of leader election on huge n) the ratio, and the win, is
-// unbounded.
+// When it wins: an effective interaction costs O(|Q|) here -- about 75 ns
+// at |Q| = 7 (k = 3) and 90-105 ns at |Q| = 16-28 (k = 6-10) on the host
+// of docs/engines.md -- against the agent engine's O(1) per *drawn*
+// interaction, so the speedup tracks the null ratio.  For the paper's
+// protocol that ratio grows with n (the free agents' flips stay
+// effective, but most pairs of grouped agents are null): jump draws level
+// with the agent engine at n = 56-64 at every k of the paper's Section 5,
+// leads from n = 72 (pp::kJumpCrossover, kAuto's switch) and is 1.4-9x
+// faster from n = 120 to 960.  For protocols that approach silence (rare
+// effective pairs, e.g. the weak k-partition or the endgame of leader
+// election on huge n) the ratio, and the win, is unbounded.
 
 #pragma once
 
@@ -128,14 +135,10 @@ class JumpSimulator {
   }
 
  private:
-  /// Column weight of state q against initiator row p (clamped to 0 for
-  /// the empty-diagonal case; only used on rows with counts_[p] >= 1,
-  /// where it matches the signed row_sum_ terms exactly).
-  [[nodiscard]] std::uint64_t column_weight(StateId p, StateId q) const {
-    if (!table_->effective(p, q)) return 0;
-    const std::uint32_t c = counts_[q];
-    if (p == q) return c == 0 ? 0 : c - 1;
-    return c;
+  /// w_p = c_p * row_sum_p, the weight of initiator row p (0 for an empty
+  /// row, whose signed sum may be -1).
+  [[nodiscard]] std::uint64_t row_weight(StateId p) const noexcept {
+    return counts_[p] * static_cast<std::uint64_t>(row_sum_[p]);
   }
 
   void rebuild_weights();
@@ -148,21 +151,16 @@ class JumpSimulator {
   /// Returns false iff the configuration is silent (nothing advanced).
   bool step_within(StabilityOracle& oracle, std::uint64_t budget);
 
-  /// Rows p with eff(p, u), per column u -- the protocol's effective-pair
-  /// structure is sparse (for the paper's protocol each state reacts with
-  /// only a handful of others), so count updates touch few rows.
-  std::vector<std::vector<StateId>> rows_of_column_;
-  /// Columns q with eff(p, q), per row p (responder scan support).
-  std::vector<std::vector<StateId>> columns_of_row_;
-
   const TransitionTable* table_;
+  /// The table's effective-pair adjacency (shared across trials).
+  const EffectiveAdjacency* adjacency_;
   Counts counts_;
   Xoshiro256 rng_;
   std::uint64_t n_ = 0;
+  /// n(n-1) as a double: the number of ordered pairs p_eff is taken of.
+  double ordered_pairs_ = 0.0;
   std::uint64_t interactions_ = 0;
   std::uint64_t effective_ = 0;
-  /// row_weight_[p] = c_p * sum_q eff(p,q) * (c_q - [p==q]).
-  std::vector<std::uint64_t> row_weight_;
   /// row_sum_[p] = sum_q eff(p,q) * (c_q - [p==q]); signed because the
   /// diagonal term is -1 while c_p == 0 (the weight clamps it to 0).
   std::vector<std::int64_t> row_sum_;

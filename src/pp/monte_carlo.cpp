@@ -247,19 +247,29 @@ Engine resolve_engine(Engine engine, std::uint64_t n, bool watch,
   // exhaustion.  kGraph remains an explicit choice for per-draw
   // observability.
   if (graph) return Engine::kGraphJump;
-  if (watch) {
-    // Exact marks require pairwise draws; past cache-friendly populations
-    // the count engine's O(log |Q|) steps beat chasing n agent slots.
-    return n < 4096 ? Engine::kAgentArray : Engine::kCountVector;
+  // Below the crossover the agent array's O(1) draws beat jump's O(|Q|)
+  // effective steps: too few draws are null to skip.  Above it jump wins,
+  // and it records exact watch marks, so a watch keeps it at every size.
+  // Past kShardedCrossover the sharded engine's shared log-factorial table
+  // and Stirling tail keep batching cheap (docs/engines.md has the table
+  // kJumpCrossover is fitted to).
+  if (n < kJumpCrossover) return Engine::kAgentArray;
+  if (n <= kShardedCrossover || watch) return Engine::kJump;
+  return Engine::kBatchSharded;
+}
+
+const char* engine_name(Engine engine) noexcept {
+  switch (engine) {
+    case Engine::kAgentArray: return "agent";
+    case Engine::kCountVector: return "count";
+    case Engine::kJump: return "jump";
+    case Engine::kBatch: return "batch";
+    case Engine::kBatchSharded: return "batch-sharded";
+    case Engine::kGraph: return "graph";
+    case Engine::kGraphJump: return "graph-jump";
+    case Engine::kAuto: return "auto";
   }
-  // The agent array's O(1) steps win while the population is small enough
-  // that batching overhead (O(|Q|^2) RNG work per ~sqrt(n) interactions)
-  // dominates; beyond that the batch engine's amortized cost vanishes.
-  // Past the log-factorial table bound the plain batch engine degrades to
-  // live lgamma per hypergeometric probe; the sharded SoA engine keeps the
-  // shared table + Stirling tail and takes over (docs/engines.md).
-  if (n < 1024) return Engine::kAgentArray;
-  return n > kShardedCrossover ? Engine::kBatchSharded : Engine::kBatch;
+  return "?";
 }
 
 namespace {

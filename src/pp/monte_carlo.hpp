@@ -34,11 +34,11 @@ class MetricsRegistry;
 
 namespace ppk::pp {
 
-/// Which engine executes the trials.  kAuto picks per trial from the
-/// population size, the requested instrumentation and whether a topology
-/// is set (see resolve_engine(); docs/engines.md walks through the
-/// policy).  kGraph (per-draw GraphSimulator) and kGraphJump (live-edge
-/// skip-ahead; docs/topologies.md) require MonteCarloOptions::graph.
+/// Which engine executes the trials.  kAuto picks from the population
+/// size, the requested instrumentation and whether a topology is set
+/// (see resolve_engine(); docs/engines.md walks through the policy).
+/// kGraph (per-draw GraphSimulator) and kGraphJump (live-edge skip-ahead;
+/// docs/topologies.md) require MonteCarloOptions::graph.
 enum class Engine {
   kAgentArray,
   kCountVector,
@@ -50,29 +50,40 @@ enum class Engine {
   kAuto,
 };
 
-/// Population size above which kAuto prefers kBatchSharded over kBatch:
-/// the batch engine's log-factorial table stops at 2^20 agents, so past it
-/// every hypergeometric draw pays live lgamma while the sharded engine's
-/// shared-table + Stirling sampler keeps amortizing (docs/engines.md).
+/// Population size from which kAuto prefers the jump engine to the agent
+/// array.  Below it too few draws of the paper's protocol are null for
+/// skipping them to pay for jump's O(|Q|) bookkeeping per effective
+/// interaction; from it on jump wins at every k of the paper's Section 5.
+/// Fitted from the per-row table in docs/engines.md.
+inline constexpr std::uint64_t kJumpCrossover = 72;
+
+/// Population size above which kAuto prefers kBatchSharded over kJump.
+/// Collision-free batching amortizes to o(1) per interaction, and the
+/// sharded engine's shared log-factorial table + Stirling tail keeps its
+/// hypergeometric draws cheap past the plain batch engine's 2^20-agent
+/// table.  Jump is faster on every measured row up to n = 10^6
+/// (docs/engines.md); the jump/sharded crossover itself is unmeasured.
 inline constexpr std::uint64_t kShardedCrossover = 1ULL << 20;
 
 /// The engine kAuto resolves to for a population of n agents with (or
-/// without) watch-mark instrumentation:
+/// without) watch-mark instrumentation.  A function of n (and the two
+/// flags) alone, so every trial of a run takes the same engine:
 ///  - a topology factory set: kGraphJump -- the live-edge engine records
 ///    exact watch marks and detects wedged configurations, so it strictly
 ///    dominates kGraph for unattended sweeps (pick kGraph explicitly for
 ///    per-drawn-pair observability).
-///  - watch marks requested: agent for small n (per-agent state is cheap
-///    and the observer is free), count above -- both record exact marks;
-///    the batch engine cannot (aggregated draws have no per-interaction
-///    indices) and is never chosen here.
-///  - otherwise: agent while the population fits comfortably in cache
-///    (n < 1024 -- batching overhead beats O(1) array steps only past
-///    that), batch above, and the sharded SoA batch engine past
-///    kShardedCrossover (where the plain batch engine falls off its
-///    log-factorial table).
+///  - n < kJumpCrossover: the agent array (its observer records watch
+///    marks).
+///  - n <= kShardedCrossover, or a watch set: jump, which skips null draws
+///    and records exact watch marks (the batch engines cannot: aggregated
+///    draws have no per-interaction indices).
+///  - otherwise: the sharded SoA batch engine.
 [[nodiscard]] Engine resolve_engine(Engine engine, std::uint64_t n,
                                     bool watch, bool graph = false);
+
+/// Stable name of an engine ("auto", "agent", "jump", "batch-sharded",
+/// ...).  Every engine but kAuto tags its snapshots with this name.
+[[nodiscard]] const char* engine_name(Engine engine) noexcept;
 
 /// Sub-stream (of a trial's stream seed) that seeds randomized topology
 /// generation, keeping it independent of the interaction draws.  Shared
@@ -107,8 +118,8 @@ struct MonteCarloOptions {
   /// Supported by the agent (observer hook), count and jump engines;
   /// requesting it with Engine::kBatch is a precondition violation (the
   /// batch engine aggregates draws and has no per-interaction indices --
-  /// failing fast beats silently returning empty marks).  kAuto never
-  /// resolves to batch when a watch is set.
+  /// failing fast beats silently returning empty marks).  kAuto resolves
+  /// to the agent or jump engine when a watch is set.
   std::optional<StateId> watch_state;
   /// If set, a per-trial wall-clock cap: a trial that exceeds it stops at
   /// the next check (every ~4M interactions) and reports stabilized =

@@ -15,17 +15,46 @@
 // delta is flattened into a |Q|^2 array once and then every lookup is a
 // single indexed load.  The table also precomputes which ordered pairs are
 // *effective* (change at least one participant), which both engines and the
-// silence detector rely on.
+// silence detector rely on.  The effective pairs' adjacency lists (per
+// initiator and per responder), which the skip-ahead engine walks, are
+// built on first use and then shared.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "pp/protocol.hpp"
 
 namespace ppk::pp {
+
+/// A protocol's effective ordered pairs as adjacency lists in CSR form:
+/// row p's responders are responders[responder_start[p] ..
+/// responder_start[p + 1]), ascending, and column q's initiators likewise.
+struct EffectiveAdjacency {
+  std::vector<std::uint32_t> responder_start;
+  std::vector<StateId> responders;
+  std::vector<std::uint32_t> initiator_start;
+  std::vector<StateId> initiators;
+
+  /// Responders q with effective(p, q), ascending.
+  [[nodiscard]] std::span<const StateId> responders_of(
+      StateId p) const noexcept {
+    return {responders.data() + responder_start[p],
+            responders.data() + responder_start[p + 1]};
+  }
+
+  /// Initiators p with effective(p, q), ascending.
+  [[nodiscard]] std::span<const StateId> initiators_of(
+      StateId q) const noexcept {
+    return {initiators.data() + initiator_start[q],
+            initiators.data() + initiator_start[q + 1]};
+  }
+};
 
 class TransitionTable {
  public:
@@ -43,6 +72,10 @@ class TransitionTable {
   [[nodiscard]] bool effective(StateId p, StateId q) const noexcept {
     return effective_[index(p, q)] != 0;
   }
+
+  /// The effective-pair adjacency, built on the first call (thread-safe)
+  /// and shared by every later caller.
+  [[nodiscard]] const EffectiveAdjacency& effective_adjacency() const;
 
   /// Paper's symmetry: no rule maps equal states to distinct states.
   [[nodiscard]] bool is_symmetric() const noexcept {
@@ -69,6 +102,8 @@ class TransitionTable {
   StateId num_states_;
   std::vector<Transition> table_;
   std::vector<char> effective_;  // char, not bool: avoids bitset proxy cost
+  mutable std::once_flag adjacency_once_;
+  mutable EffectiveAdjacency adjacency_;
   std::vector<StateId> asymmetric_diagonal_;
   bool swap_consistent_;
 };

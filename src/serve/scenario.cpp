@@ -66,20 +66,6 @@ const char* to_string(ScenarioMode mode) noexcept {
   return "?";
 }
 
-const char* engine_name(pp::Engine engine) noexcept {
-  switch (engine) {
-    case pp::Engine::kAgentArray: return "agent";
-    case pp::Engine::kCountVector: return "count";
-    case pp::Engine::kJump: return "jump";
-    case pp::Engine::kBatch: return "batch";
-    case pp::Engine::kBatchSharded: return "batch-sharded";
-    case pp::Engine::kGraph: return "graph";
-    case pp::Engine::kGraphJump: return "graph-jump";
-    case pp::Engine::kAuto: return "auto";
-  }
-  return "?";
-}
-
 std::optional<ScenarioFamily> family_from_name(std::string_view name) noexcept {
   if (name == "kpartition") return ScenarioFamily::kKPartition;
   if (name == "weak-kpartition") return ScenarioFamily::kWeakKPartition;
@@ -150,7 +136,7 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   w.member("kind", to_string(spec.oracle));
   w.member("window", spec.quiescence_window);
   w.end_object();
-  w.member("engine", engine_name(spec.engine));
+  w.member("engine", pp::engine_name(spec.engine));
   w.member("mode", to_string(spec.mode));
   w.member("trials", static_cast<std::uint64_t>(spec.trials));
   w.member("seed", spec.seed);

@@ -336,6 +336,72 @@ TEST_F(CampaignTest, RefusesAFairnessMismatchedCheckpoint) {
   std::filesystem::remove(options.checkpoint_path);
 }
 
+TEST_F(CampaignTest, RefusesInFlightSnapshotsOfAnotherResolvedEngine) {
+  // A kAuto campaign's checkpoint holds snapshots of the engine kAuto
+  // resolved to when it was written.  When a later version resolves the
+  // same population to another engine, restoring those snapshots would
+  // trip the engine's snapshot-tag precondition; the fingerprint carries
+  // the tag, so the file is refused by name instead.  Hand-make such a
+  // file: agent snapshots at n = 300, relabelled as a kAuto campaign
+  // (with and without the tag, the latter being the older format).
+  constexpr std::uint32_t kLarge = 300;
+  ASSERT_NE(ppk::pp::resolve_engine(ppk::pp::Engine::kAuto, kLarge, false),
+            ppk::pp::Engine::kAgentArray);
+  std::atomic<bool> stop{false};
+  const auto campaign = [&](const CampaignOptions& options) {
+    return ppk::core::run_campaign(
+        protocol_, table_, kLarge,
+        [&] {
+          // Wind down at the first chunk boundary, which leaves the trial
+          // in flight in the checkpoint.
+          stop = true;
+          return ppk::core::stable_pattern_oracle(protocol_, kLarge);
+        },
+        options);
+  };
+  CampaignOptions options = base_options();
+  options.mc.trials = 1;
+  options.mc.engine = ppk::pp::Engine::kAgentArray;
+  options.checkpoint_path = temp_checkpoint("resolved_engine");
+  options.stop = &stop;
+  ASSERT_FALSE(campaign(options).complete);
+  std::string text;
+  {
+    std::ifstream file(options.checkpoint_path);
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    text = buffer.str();
+  }
+  const auto checkpoint = ppk::core::parse_campaign_checkpoint(text);
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_FALSE(checkpoint->in_flight.empty());
+  EXPECT_EQ(checkpoint->in_flight.front().snapshot.engine, "agent");
+
+  const std::string agent_engine =
+      " engine=" + std::to_string(static_cast<int>(options.mc.engine));
+  const std::string auto_engine =
+      " engine=" + std::to_string(static_cast<int>(ppk::pp::Engine::kAuto));
+  const std::string tag = " snapshot=agent";
+  const std::size_t at = text.find(agent_engine + tag);
+  ASSERT_NE(at, std::string::npos);
+  options.stop = nullptr;
+  options.mc.engine = ppk::pp::Engine::kAuto;
+  for (const std::string& relabel : {auto_engine + tag, auto_engine}) {
+    std::string forged = text;
+    forged.replace(at, agent_engine.size() + tag.size(), relabel);
+    {
+      std::ofstream file(options.checkpoint_path, std::ios::trunc);
+      file << forged;
+    }
+    const CampaignResult refused = campaign(options);
+    EXPECT_NE(refused.error.find("written by a different campaign"),
+              std::string::npos)
+        << refused.error;
+    EXPECT_TRUE(refused.trials.empty());
+  }
+  std::filesystem::remove(options.checkpoint_path);
+}
+
 TEST_F(CampaignTest, AdversarialFairnessRoutesToTheAdversarialEngine) {
   // An epsilon-fair campaign must draw the same trajectories as the
   // Monte-Carlo runner's adversarial route with the same seeds.  (Pre-fix

@@ -331,6 +331,32 @@ TEST(ObsMetrics, MonteCarloTrialCountersAddUp) {
   EXPECT_EQ(registry.histogram("trial.interactions").total(), 6u);
 }
 
+TEST(ObsMetrics, PairwiseAdvancesCountEveryDraw) {
+  // The agent and count engines advance one drawn pair at a time, so their
+  // pairwise-advance counter must equal the interaction counter.
+  if (!kHooksCompiled) GTEST_SKIP() << "observability compiled out";
+  const KPartitionProtocol protocol(3);
+  const ppk::pp::TransitionTable table(protocol);
+  const std::uint32_t n = 60;
+  for (const auto engine :
+       {ppk::pp::Engine::kAgentArray, ppk::pp::Engine::kCountVector}) {
+    ppk::pp::MonteCarloOptions options;
+    options.trials = 3;
+    options.engine = engine;
+    MetricsRegistry registry;
+    options.metrics = &registry;
+    const auto result = ppk::pp::run_monte_carlo(
+        protocol, table, n,
+        [&] { return ppk::core::stable_pattern_oracle(protocol, n); },
+        options);
+    EXPECT_EQ(result.stabilized_count(), 3u);
+    EXPECT_GT(registry.counter("sim.interactions").value(), 0u);
+    EXPECT_EQ(registry.counter("sim.advances.pairwise").value(),
+              registry.counter("sim.interactions").value())
+        << "engine=" << static_cast<int>(engine);
+  }
+}
+
 TEST(ObsMetrics, CampaignRuntimeMetricsCoverCheckpointsAndSupervision) {
   // The campaign layer splits its instrumentation in two: deterministic
   // per-trial metrics merge into CampaignResult::metrics (thread-count

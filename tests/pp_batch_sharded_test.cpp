@@ -206,16 +206,19 @@ TEST(BatchShardedSimulator, EffectiveWeightZeroIffSilent) {
 }
 
 TEST(ResolveEngine, AutoHandsLargePopulationsToTheShardedEngine) {
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 2048, false), Engine::kBatch);
+  // Jump up to and including kShardedCrossover, sharded beyond it.
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 2048, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, kShardedCrossover, false),
-            Engine::kBatch);
+            Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kAuto, kShardedCrossover + 1, false),
             Engine::kBatchSharded);
   EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, false),
             Engine::kBatchSharded);
-  // A watch request never resolves to an aggregated engine.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, true),
-            Engine::kCountVector);
+  // A watch request never resolves to an aggregated engine: jump records
+  // exact marks at every size.
+  EXPECT_EQ(resolve_engine(Engine::kAuto, kShardedCrossover + 1, true),
+            Engine::kJump);
+  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000'000, true), Engine::kJump);
   // Explicit choices pass through untouched.
   EXPECT_EQ(resolve_engine(Engine::kBatchSharded, 100, false),
             Engine::kBatchSharded);

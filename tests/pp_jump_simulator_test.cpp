@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/invariants.hpp"
 #include "core/kpartition.hpp"
@@ -211,6 +214,92 @@ TEST(JumpSimulator, WatchMarksRecordStateEntries) {
     EXPECT_GT(marks[i], marks[i - 1]);
   }
   EXPECT_LE(marks.back(), result.interactions);
+}
+
+/// Forwards to the protocol's oracle and folds every applied rule
+/// (p, q) -> (p', q') into an FNV-1a hash: two runs with equal hashes
+/// applied the same rules in the same order.
+class TrajectoryHash final : public StabilityOracle {
+ public:
+  explicit TrajectoryHash(std::unique_ptr<StabilityOracle> inner)
+      : inner_(std::move(inner)) {}
+
+  void reset(const Counts& counts) override { inner_->reset(counts); }
+  void on_transition(StateId p, StateId q, StateId p_next,
+                     StateId q_next) override {
+    for (const StateId s : {p, q, p_next, q_next}) {
+      hash_ = (hash_ ^ s) * 1099511628211ULL;
+    }
+    inner_->on_transition(p, q, p_next, q_next);
+  }
+  [[nodiscard]] bool stable() const override { return inner_->stable(); }
+
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  std::unique_ptr<StabilityOracle> inner_;
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+TEST(JumpSimulator, TrajectoriesArePinned) {
+  // The engine's draws are part of its contract: a seeded trial must
+  // reproduce bit for bit across changes to the engine's bookkeeping.
+  // Each row pins a run to stabilization (interactions, effective draws,
+  // rule-sequence hash) and a run cut at half that budget (effective
+  // draws, counts mid-run), for seed derive_stream_seed(14, 100000 k + n).
+  struct Pin {
+    GroupId k;
+    std::uint32_t n;
+    std::uint64_t interactions;
+    std::uint64_t effective;
+    std::uint64_t trajectory;
+    std::uint64_t half_effective;
+    Counts half_counts;
+  };
+  const std::vector<Pin> pins = {
+      {2, 16, 168ULL, 74ULL, 0x1ed1a593acd79de9ULL, 44ULL,
+       {2, 2, 6, 6}},
+      {2, 300, 200282ULL, 5942ULL, 0xf875ec96df0b5ae5ULL, 4616ULL,
+       {1, 1, 149, 149}},
+      {2, 5000, 73349642ULL, 133063ULL, 0xaf889da080da5c6dULL, 103774ULL,
+       {0, 2, 2499, 2499}},
+      {3, 16, 167ULL, 58ULL, 0x3096053604873d1fULL, 29ULL,
+       {2, 1, 5, 3, 3, 1, 1}},
+      {3, 300, 107144ULL, 3238ULL, 0xbba9a87ac4f55f39ULL, 2871ULL,
+       {0, 1, 100, 99, 99, 1, 0}},
+      {3, 5000, 49971999ULL, 94976ULL, 0xa0019a5ba90e7d56ULL, 75023ULL,
+       {1, 1, 1666, 1666, 1666, 0, 0}},
+      {8, 16, 2552ULL, 803ULL, 0x88c22d1038b48a6fULL, 533ULL,
+       {0, 4, 3, 3, 2, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0}},
+      {8, 300, 237400ULL, 16743ULL, 0x9a6fb4a8c5265400ULL, 15368ULL,
+       {0, 1, 39, 39, 37, 37, 36, 36, 36, 36, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        0}},
+      {8, 5000, 113259987ULL, 516921ULL, 0x93d2b83706bb91dfULL, 479981ULL,
+       {0, 1, 626, 625, 625, 625, 624, 624, 624, 624, 1, 0, 0, 1, 0, 0, 0, 0, 0,
+        0, 0, 0}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("k=" + std::to_string(pin.k) + " n=" + std::to_string(pin.n));
+    const core::KPartitionProtocol protocol(pin.k);
+    const TransitionTable table(protocol);
+    const std::uint64_t seed =
+        derive_stream_seed(14, pin.k * 100000ULL + pin.n);
+
+    JumpSimulator sim(table, all_initial(protocol, pin.n), seed);
+    TrajectoryHash oracle(core::stable_pattern_oracle(protocol, pin.n));
+    const SimResult result = sim.run(oracle);
+    ASSERT_TRUE(result.stabilized);
+    EXPECT_EQ(result.interactions, pin.interactions);
+    EXPECT_EQ(result.effective, pin.effective);
+    EXPECT_EQ(oracle.hash(), pin.trajectory);
+    EXPECT_TRUE(core::matches_stable_pattern(protocol, pin.n, sim.counts()));
+
+    JumpSimulator half(table, all_initial(protocol, pin.n), seed);
+    NeverStableOracle never;
+    const SimResult cut = half.run(never, pin.interactions / 2);
+    EXPECT_EQ(cut.effective, pin.half_effective);
+    EXPECT_EQ(half.counts(), pin.half_counts);
+  }
 }
 
 TEST(JumpSimulator, InteractionCounterIsMonotoneAndSkipsAreCounted) {

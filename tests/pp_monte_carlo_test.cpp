@@ -133,15 +133,53 @@ TEST_F(MonteCarloTest, WatchOnBatchEngineFailsFast) {
 }
 
 TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
-  // kAuto picks by population size and never picks batch when marks are
-  // requested; explicit choices pass through untouched.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100, false), Engine::kAgentArray);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, false), Engine::kBatch);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100, true), Engine::kAgentArray);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, true),
-            Engine::kCountVector);
-  EXPECT_EQ(resolve_engine(Engine::kJump, 100'000, false), Engine::kJump);
+  // kAuto picks by population size: the agent array below kJumpCrossover,
+  // jump from it on, with or without watch marks; explicit choices pass
+  // through untouched.
+  for (const bool watch : {false, true}) {
+    EXPECT_EQ(resolve_engine(Engine::kAuto, 2, watch), Engine::kAgentArray);
+    EXPECT_EQ(resolve_engine(Engine::kAuto, kJumpCrossover - 1, watch),
+              Engine::kAgentArray);
+    EXPECT_EQ(resolve_engine(Engine::kAuto, kJumpCrossover, watch),
+              Engine::kJump);
+    EXPECT_EQ(resolve_engine(Engine::kAuto, 960, watch), Engine::kJump);
+    EXPECT_EQ(resolve_engine(Engine::kAuto, 100'000, watch), Engine::kJump);
+  }
+  // The paper's Section 5 spans the crossover: Fig. 3's smallest points
+  // stay on the agent array, Figs. 5 and 6 (n >= 120) go to jump.
+  EXPECT_LT(16u, kJumpCrossover);
+  EXPECT_LE(kJumpCrossover, 120u);
+  EXPECT_EQ(resolve_engine(Engine::kJump, 10, false), Engine::kJump);
   EXPECT_EQ(resolve_engine(Engine::kBatch, 10, false), Engine::kBatch);
+  EXPECT_EQ(resolve_engine(Engine::kAgentArray, 100'000, true),
+            Engine::kAgentArray);
+}
+
+TEST_F(MonteCarloTest, AutoMatchesForcedJumpBitForBit) {
+  // Above the crossover kAuto is the jump engine: same seeds, same
+  // trials, identical results -- watch marks included.
+  MonteCarloOptions forced;
+  forced.trials = 2;
+  forced.master_seed = 960;
+  forced.engine = Engine::kJump;
+  forced.watch_state = protocol_.g(4);
+  MonteCarloOptions automatic = forced;
+  automatic.engine = Engine::kAuto;
+  ASSERT_EQ(resolve_engine(Engine::kAuto, 960, true), Engine::kJump);
+  const auto a =
+      run_monte_carlo(protocol_, table_, 960, oracle_factory(960), forced);
+  const auto b =
+      run_monte_carlo(protocol_, table_, 960, oracle_factory(960), automatic);
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (std::size_t t = 0; t < a.trials.size(); ++t) {
+    EXPECT_TRUE(a.trials[t].stabilized);
+    EXPECT_EQ(a.trials[t].interactions, b.trials[t].interactions);
+    EXPECT_EQ(a.trials[t].effective, b.trials[t].effective);
+    EXPECT_EQ(a.trials[t].stabilized, b.trials[t].stabilized);
+    EXPECT_EQ(a.trials[t].timed_out, b.trials[t].timed_out);
+    EXPECT_EQ(a.trials[t].stalled, b.trials[t].stalled);
+    EXPECT_EQ(a.trials[t].watch_marks, b.trials[t].watch_marks);
+  }
 }
 
 TEST_F(MonteCarloTest, BatchAndAutoEnginesStabilizeLikeTheOthers) {

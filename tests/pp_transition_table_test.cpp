@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/bipartition.hpp"
 #include "core/kpartition.hpp"
 #include "protocols/approximate_majority.hpp"
@@ -28,6 +30,31 @@ TEST(TransitionTable, EffectiveMatchesStateChange) {
     for (StateId q = 0; q < protocol.num_states(); ++q) {
       const Transition t = protocol.delta(p, q);
       EXPECT_EQ(table.effective(p, q), t.initiator != p || t.responder != q);
+    }
+  }
+}
+
+TEST(TransitionTable, EffectiveAdjacencyListsExactlyTheEffectivePairs) {
+  // Asymmetric rules included: leader election's (L, L) -> (L, F).
+  const core::KPartitionProtocol kpartition(5);
+  const protocols::LeaderElectionProtocol leader;
+  for (const Protocol* protocol :
+       {static_cast<const Protocol*>(&kpartition),
+        static_cast<const Protocol*>(&leader)}) {
+    const TransitionTable table(*protocol);
+    const EffectiveAdjacency& adjacency = table.effective_adjacency();
+    EXPECT_EQ(&adjacency, &table.effective_adjacency());  // built once
+    for (StateId s = 0; s < table.num_states(); ++s) {
+      std::vector<StateId> responders;
+      std::vector<StateId> initiators;
+      for (StateId t = 0; t < table.num_states(); ++t) {
+        if (table.effective(s, t)) responders.push_back(t);
+        if (table.effective(t, s)) initiators.push_back(t);
+      }
+      const auto r = adjacency.responders_of(s);
+      const auto i = adjacency.initiators_of(s);
+      EXPECT_EQ(std::vector<StateId>(r.begin(), r.end()), responders);
+      EXPECT_EQ(std::vector<StateId>(i.begin(), i.end()), initiators);
     }
   }
 }
