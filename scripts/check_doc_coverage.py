@@ -36,6 +36,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = sorted((REPO / "src" / "obs").glob("*.hpp")) + [
     REPO / "src" / "pp" / "stability.hpp",
+    # The shared trial driver (engine dispatch and grant loop).
+    REPO / "src" / "pp" / "monte_carlo.hpp",
     REPO / "src" / "core" / "campaign.hpp",
     # The fairness-policy axis and the protocol families riding on it.
     REPO / "src" / "pp" / "fairness.hpp",

@@ -1,11 +1,10 @@
 #include "pp/monte_carlo.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
 
 #include "obs/metrics.hpp"
-#include "pp/adversarial.hpp"
 #include "obs/sink.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -40,55 +39,126 @@ std::uint32_t MonteCarloResult::stabilized_count() const {
 
 namespace {
 
-/// Runs one engine to stability under both limits.  Without a wall-clock
-/// limit this is a single run() call; with one, the budget is granted in
-/// chunks so the clock is consulted without touching the engines' hot
-/// loops.  The first chunk uses run() (which resets the oracle from the
-/// initial configuration); every later chunk uses resume(), so both the
-/// interaction sequence and the oracle's progress -- e.g. a quiescence
-/// lull spanning a chunk boundary -- are exactly those of an unchunked run.
-template <typename Sim>
-void run_bounded(Sim& sim, StabilityOracle& oracle,
-                 const MonteCarloOptions& options, TrialResult* out) {
-  if (!options.wall_clock_limit_seconds) {
-    const SimResult r = sim.run(oracle, options.max_interactions);
-    out->interactions = r.interactions;
-    out->effective = r.effective;
-    out->stabilized = r.stabilized;
-    // A run that ended short of the budget without stabilizing went silent
-    // with the oracle unsatisfied (jump engine): a dead configuration.
-    out->stalled = !r.stabilized && r.interactions < options.max_interactions;
+/// Sub-stream (of a trial's stream seed) that seeds randomized topology
+/// generation, keeping it independent of the interaction draws.
+constexpr std::uint64_t kGraphTopologyStream = 0x6772'6170'68ULL;
+
+/// The engine names, indexed by enumerator value.
+constexpr std::array<const char*, 8> kEngineNames = {
+    "agent", "count", "jump", "batch", "batch-sharded",
+    "graph", "graph-jump", "auto"};
+static_assert(kEngineNames.size() ==
+              static_cast<std::size_t>(Engine::kAuto) + 1);
+
+}  // namespace
+
+TrialPlan::TrialPlan(const TransitionTable& table, const Counts& initial,
+                     const MonteCarloOptions& options, const Protocol* protocol)
+    : table_(&table),
+      initial_(&initial),
+      options_(&options),
+      protocol_(protocol),
+      adversarial_(options.fairness.needs_adversarial_engine()) {
+  PPK_EXPECTS(options.trials > 0);
+  for (const auto c : initial) n_ += c;
+  if (adversarial_) {
+    // Only the agent-level scheduler can realize a non-uniform fairness
+    // policy; it needs the protocol's group map for its adversary probes.
+    PPK_EXPECTS(protocol != nullptr);
+    PPK_EXPECTS(!options.watch_state);
+    PPK_EXPECTS(options.engine == Engine::kAuto ||
+                options.engine == Engine::kAgentArray);
     return;
   }
-  const Stopwatch clock;
-  constexpr std::uint64_t kChunk = 1ULL << 22;  // ~4M pairs per clock check
-  std::uint64_t remaining = options.max_interactions;
-  bool first = true;
-  while (true) {
-    const std::uint64_t grant = std::min<std::uint64_t>(kChunk, remaining);
-    const SimResult r =
-        first ? sim.run(oracle, grant) : sim.resume(oracle, grant);
-    first = false;
-    out->interactions += r.interactions;
-    out->effective += r.effective;
-    if (r.stabilized) {
-      out->stabilized = true;
-      return;
-    }
-    remaining -= r.interactions;
-    if (remaining == 0) return;               // interaction budget exhausted
-    if (r.interactions < grant) {             // engine stalled (silent)
-      out->stalled = true;
-      return;
-    }
-    if (clock.seconds() >= *options.wall_clock_limit_seconds) {
-      out->timed_out = true;
-      return;
-    }
-  }
+  engine_ = resolve_engine(options.engine, n_, options.watch_state.has_value(),
+                           static_cast<bool>(options.graph));
+  // A topology that no engine consults (or a graph engine with no
+  // topology) is a configuration error, not a silently different
+  // experiment.
+  const bool graph_engine =
+      engine_ == Engine::kGraph || engine_ == Engine::kGraphJump;
+  PPK_EXPECTS(graph_engine == static_cast<bool>(options.graph));
+  // The batch engines aggregate draws and kGraph has no watch hook: none
+  // can produce per-interaction watch marks, and quietly returning none
+  // would corrupt downstream statistics.  kAuto never picks them with a
+  // watch set, so reaching this means the caller forced one.
+  PPK_EXPECTS(!options.watch_state || engine_ == Engine::kAgentArray ||
+              engine_ == Engine::kCountVector || engine_ == Engine::kJump ||
+              engine_ == Engine::kGraphJump);
 }
 
-/// Stamps the per-trial outcome metrics into the trial's registry.
+TrialEngine::TrialEngine(const TrialPlan& plan, std::uint64_t seed,
+                         obs::ObsSink* sink,
+                         std::vector<std::uint64_t>* watch_marks)
+    : sim_(build(plan, seed)) {
+  const std::optional<StateId> watch = plan.options_->watch_state;
+  PPK_EXPECTS(!watch || watch_marks != nullptr);
+  std::visit(
+      [&](auto& sim) {
+        if (sink != nullptr) sim.set_obs_sink(sink);
+        if (!watch) return;
+        const StateId watched = *watch;
+        if constexpr (requires { sim.set_watch(watched, watch_marks); }) {
+          sim.set_watch(watched, watch_marks);
+        } else if constexpr (requires { sim.set_observer(nullptr); }) {
+          sim.set_observer([watch_marks, watched](const SimEvent& event) {
+            // The watched state's count increases iff an agent enters it
+            // while its partner does not simultaneously leave it.
+            const int delta = (event.p_next == watched ? 1 : 0) +
+                              (event.q_next == watched ? 1 : 0) -
+                              (event.p == watched ? 1 : 0) -
+                              (event.q == watched ? 1 : 0);
+            for (int i = 0; i < delta; ++i) {
+              watch_marks->push_back(event.interaction);
+            }
+          });
+        } else {
+          PPK_ASSERT(false);  // TrialPlan rejects a watch on this engine
+        }
+      },
+      sim_);
+}
+
+TrialEngine::Sim TrialEngine::build(const TrialPlan& plan, std::uint64_t seed) {
+  const TransitionTable& table = *plan.table_;
+  const Counts& initial = *plan.initial_;
+  const MonteCarloOptions& options = *plan.options_;
+  std::optional<InteractionGraph> graph;
+  if (options.graph) {
+    graph.emplace(
+        options.graph(derive_stream_seed(seed, kGraphTopologyStream)));
+    PPK_EXPECTS(graph->num_agents() == plan.n_);
+  }
+  if (plan.adversarial_) {
+    topology_ = std::move(graph);
+    return Sim(std::in_place_type<AdversarialSimulator>, *plan.protocol_,
+               table, Population(initial), options.fairness, seed,
+               topology_ ? &*topology_ : nullptr);
+  }
+  switch (plan.engine_) {
+    case Engine::kCountVector:
+      return Sim(std::in_place_type<CountSimulator>, table, initial, seed);
+    case Engine::kJump:
+      return Sim(std::in_place_type<JumpSimulator>, table, initial, seed);
+    case Engine::kBatch:
+      return Sim(std::in_place_type<BatchSimulator>, table, initial, seed);
+    case Engine::kBatchSharded:
+      return Sim(std::in_place_type<BatchShardedSimulator>, table, initial,
+                 seed, options.engine_threads);
+    case Engine::kGraph:
+      return Sim(std::in_place_type<GraphSimulator>, table, std::move(*graph),
+                 Population(initial), seed);
+    case Engine::kGraphJump:
+      return Sim(std::in_place_type<GraphJumpSimulator>, table,
+                 std::move(*graph), Population(initial), seed);
+    case Engine::kAgentArray:
+    case Engine::kAuto:  // resolved by the plan
+      break;
+  }
+  return Sim(std::in_place_type<AgentSimulator>, table, Population(initial),
+             seed);
+}
+
 void record_trial_metrics(obs::MetricsRegistry& metrics,
                           const TrialResult& result) {
   metrics.counter("trials").inc();
@@ -99,139 +169,33 @@ void record_trial_metrics(obs::MetricsRegistry& metrics,
   metrics.histogram("trial.effective").record(result.effective);
 }
 
-TrialResult run_one_trial(const TransitionTable& table, const Counts& initial,
-                          const OracleFactory& make_oracle,
-                          const MonteCarloOptions& options, std::uint64_t seed,
-                          obs::MetricsRegistry* trial_metrics,
-                          const Protocol* protocol) {
+namespace {
+
+TrialResult run_one_trial(const TrialPlan& plan,
+                          const MonteCarloOptions& options,
+                          const OracleFactory& make_oracle, std::uint64_t seed,
+                          obs::MetricsRegistry* trial_metrics) {
   TrialResult result;
   auto oracle = make_oracle();
   PPK_ASSERT(oracle != nullptr);
   std::optional<obs::ObsSink> sink;
   if (trial_metrics != nullptr) sink.emplace(*trial_metrics);
+  TrialEngine engine(plan, seed, sink ? &*sink : nullptr, &result.watch_marks);
 
-  std::uint64_t n = 0;
-  for (auto c : initial) n += c;
-
-  if (options.fairness.needs_adversarial_engine()) {
-    // Only the agent-level scheduler can realize a non-uniform fairness
-    // policy; it needs the protocol's group map for its adversary probes.
-    PPK_EXPECTS(protocol != nullptr);
-    PPK_EXPECTS(!options.watch_state);
-    PPK_EXPECTS(options.engine == Engine::kAuto ||
-                options.engine == Engine::kAgentArray);
-    std::optional<InteractionGraph> graph;
-    if (options.graph) {
-      graph.emplace(
-          options.graph(derive_stream_seed(seed, kGraphTopologyStream)));
-      PPK_EXPECTS(graph->num_agents() == n);
-    }
-    AdversarialSimulator sim(*protocol, table, Population(initial),
-                             options.fairness, seed,
-                             graph ? &*graph : nullptr);
-    if (sink) sim.set_obs_sink(&*sink);
-    run_bounded(sim, *oracle, options, &result);
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-
-  const Engine engine =
-      resolve_engine(options.engine, n, options.watch_state.has_value(),
-                     static_cast<bool>(options.graph));
-  // The batch engines aggregate draws; they cannot produce per-interaction
-  // watch marks, and quietly returning none would corrupt downstream
-  // statistics.  kAuto never picks them with a watch set, so reaching this
-  // combination means the caller forced it.
-  PPK_EXPECTS(!((engine == Engine::kBatch ||
-                 engine == Engine::kBatchSharded) &&
-                options.watch_state));
-  // A topology that no engine consults (or a graph engine with no
-  // topology) is a configuration error, not a silently different
-  // experiment.
-  const bool graph_engine =
-      engine == Engine::kGraph || engine == Engine::kGraphJump;
-  PPK_EXPECTS(graph_engine == static_cast<bool>(options.graph));
-
-  if (graph_engine) {
-    // The topology gets its own derived stream so randomized graphs are
-    // independent of the interaction draws (and of each other across
-    // trials) while staying a pure function of (master_seed, trial).
-    InteractionGraph graph =
-        options.graph(derive_stream_seed(seed, kGraphTopologyStream));
-    PPK_EXPECTS(graph.num_agents() == n);
-    if (engine == Engine::kGraph) {
-      // The per-draw engine has no watch hook; the live-edge engine
-      // records exact marks, so kAuto (and explicit kGraphJump) covers
-      // watched topology runs.
-      PPK_EXPECTS(!options.watch_state);
-      GraphSimulator sim(table, std::move(graph), Population(initial), seed);
-      if (sink) sim.set_obs_sink(&*sink);
-      run_bounded(sim, *oracle, options, &result);
-    } else {
-      GraphJumpSimulator sim(table, std::move(graph), Population(initial),
-                             seed);
-      if (options.watch_state) {
-        sim.set_watch(*options.watch_state, &result.watch_marks);
-      }
-      if (sink) sim.set_obs_sink(&*sink);
-      run_bounded(sim, *oracle, options, &result);
-    }
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-
-  if (engine == Engine::kCountVector) {
-    CountSimulator sim(table, initial, seed);
-    if (options.watch_state) {
-      sim.set_watch(*options.watch_state, &result.watch_marks);
-    }
-    if (sink) sim.set_obs_sink(&*sink);
-    run_bounded(sim, *oracle, options, &result);
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-  if (engine == Engine::kJump) {
-    JumpSimulator sim(table, initial, seed);
-    if (options.watch_state) {
-      sim.set_watch(*options.watch_state, &result.watch_marks);
-    }
-    if (sink) sim.set_obs_sink(&*sink);
-    run_bounded(sim, *oracle, options, &result);
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-  if (engine == Engine::kBatch) {
-    BatchSimulator sim(table, initial, seed);
-    if (sink) sim.set_obs_sink(&*sink);
-    run_bounded(sim, *oracle, options, &result);
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-  if (engine == Engine::kBatchSharded) {
-    BatchShardedSimulator sim(table, initial, seed, options.engine_threads);
-    if (sink) sim.set_obs_sink(&*sink);
-    run_bounded(sim, *oracle, options, &result);
-    if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
-    return result;
-  }
-
-  AgentSimulator sim(table, Population(initial), seed);
-  if (sink) sim.set_obs_sink(&*sink);
-  if (options.watch_state) {
-    const StateId watched = *options.watch_state;
-    sim.set_observer([&result, watched](const SimEvent& event) {
-      // The watched state's count increases iff an agent enters it while
-      // its partner does not simultaneously leave it (and vice versa).
-      const int delta = (event.p_next == watched ? 1 : 0) +
-                        (event.q_next == watched ? 1 : 0) -
-                        (event.p == watched ? 1 : 0) -
-                        (event.q == watched ? 1 : 0);
-      for (int i = 0; i < delta; ++i) {
-        result.watch_marks.push_back(event.interaction);
-      }
-    });
-  }
-  run_bounded(sim, *oracle, options, &result);
+  // Without a wall-clock limit the whole budget is one grant: a single
+  // run() call, and the clock is never consulted.
+  constexpr std::uint64_t kClockChunk = 1ULL << 22;  // ~4M pairs per check
+  const std::optional<double> limit = options.wall_clock_limit_seconds;
+  const Stopwatch clock;
+  const TrialEnd end = engine.visit([&](auto& sim) {
+    return run_grants(
+        sim, *oracle, options.max_interactions,
+        limit ? kClockChunk : UINT64_MAX, 0, result,
+        [&](std::uint64_t) { return limit && clock.seconds() >= *limit; });
+  });
+  result.stabilized = end == TrialEnd::kStabilized;
+  result.stalled = end == TrialEnd::kStalled;
+  result.timed_out = end == TrialEnd::kStopped;
   if (trial_metrics != nullptr) record_trial_metrics(*trial_metrics, result);
   return result;
 }
@@ -259,17 +223,15 @@ Engine resolve_engine(Engine engine, std::uint64_t n, bool watch,
 }
 
 const char* engine_name(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::kAgentArray: return "agent";
-    case Engine::kCountVector: return "count";
-    case Engine::kJump: return "jump";
-    case Engine::kBatch: return "batch";
-    case Engine::kBatchSharded: return "batch-sharded";
-    case Engine::kGraph: return "graph";
-    case Engine::kGraphJump: return "graph-jump";
-    case Engine::kAuto: return "auto";
+  const auto index = static_cast<std::size_t>(engine);
+  return index < kEngineNames.size() ? kEngineNames[index] : "?";
+}
+
+std::optional<Engine> engine_from_name(std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kEngineNames.size(); ++i) {
+    if (name == kEngineNames[i]) return static_cast<Engine>(i);
   }
-  return "?";
+  return std::nullopt;
 }
 
 namespace {
@@ -279,7 +241,7 @@ MonteCarloResult run_monte_carlo_impl(const TransitionTable& table,
                                       const OracleFactory& make_oracle,
                                       const MonteCarloOptions& options,
                                       const Protocol* protocol) {
-  PPK_EXPECTS(options.trials > 0);
+  const TrialPlan plan(table, initial, options, protocol);
   MonteCarloResult result;
   result.trials.resize(options.trials);
 
@@ -287,16 +249,16 @@ MonteCarloResult run_monte_carlo_impl(const TransitionTable& table,
   auto body = [&](std::size_t trial) {
     const std::uint64_t seed = derive_stream_seed(options.master_seed, trial);
     if (options.metrics == nullptr) {
-      result.trials[trial] = run_one_trial(table, initial, make_oracle,
-                                           options, seed, nullptr, protocol);
+      result.trials[trial] =
+          run_one_trial(plan, options, make_oracle, seed, nullptr);
       return;
     }
     // Each trial fills a private registry; folding into the shared one is
     // the only synchronized step.  merge() is commutative, so the aggregate
     // is bit-identical no matter which trial's merge wins a race.
     obs::MetricsRegistry trial_metrics;
-    result.trials[trial] = run_one_trial(table, initial, make_oracle, options,
-                                         seed, &trial_metrics, protocol);
+    result.trials[trial] =
+        run_one_trial(plan, options, make_oracle, seed, &trial_metrics);
     const std::lock_guard<std::mutex> lock(metrics_mutex);
     options.metrics->merge(trial_metrics);
   };

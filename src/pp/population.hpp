@@ -133,6 +133,18 @@ class Population {
   Counts counts_;
 };
 
+/// An engine's current configuration, whichever surface exposes it: the
+/// count-shaped engines' counts() or the agent-shaped engines'
+/// population().
+template <typename Sim>
+[[nodiscard]] const Counts& counts_of(const Sim& sim) {
+  if constexpr (requires { sim.counts(); }) {
+    return sim.counts();
+  } else {
+    return sim.population().counts();
+  }
+}
+
 /// True iff all entries of `sizes` differ pairwise by at most one -- the
 /// uniformity condition of the k-partition problem.
 inline bool is_uniform_partition(const std::vector<std::uint32_t>& sizes) {

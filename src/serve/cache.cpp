@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "io/atomic_file.hpp"
+#include "pp/monte_carlo.hpp"
 
 namespace ppk::serve {
 
@@ -42,7 +43,15 @@ std::string ResultCache::exact_entry_path(const std::string& hash_hex) const {
 std::optional<std::string> ResultCache::find(const std::string& hash_hex,
                                              std::uint64_t seed) const {
   if (!enabled()) return std::nullopt;
-  return read_file(entry_path(hash_hex, seed));
+  std::optional<std::string> entry = read_file(entry_path(hash_hex, seed));
+  if (!entry) return std::nullopt;
+  // Entries drawn under another engine-law version (or before the stamp
+  // existed) are misses: the caller recomputes and overwrites them.  The
+  // stamp is never a frame's last member, so the comma ends the number.
+  const std::string tag =
+      "\"engine_law\": " + std::to_string(pp::kEngineLawVersion) + ",";
+  if (entry->find(tag) == std::string::npos) return std::nullopt;
+  return entry;
 }
 
 std::optional<std::string> ResultCache::find_exact(

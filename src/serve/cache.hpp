@@ -14,7 +14,10 @@
 // hits the same entry.  Entries store the daemon's single-line result
 // frame verbatim; a cache hit replays it byte-identically, which is what
 // the smoke test asserts.  Writes go through io/atomic_file.hpp so a
-// daemon killed mid-store never leaves a torn entry.
+// daemon killed mid-store never leaves a torn entry.  Both kinds of entry
+// are versioned: exact frames by kExactResultSchema, seed-dependent frames
+// by pp::kEngineLawVersion (member "engine_law"), since a seed's draws are
+// only reproducible under the engine laws that drew them.
 
 #pragma once
 
@@ -41,7 +44,10 @@ class ResultCache {
   /// empty dir disables the cache: lookups miss, stores drop.
   explicit ResultCache(std::string dir);
 
-  /// Seed-dependent lookup (simulate / conformance).
+  /// Seed-dependent lookup (simulate / conformance).  Only entries stamped
+  /// with the current pp::kEngineLawVersion (member "engine_law") are hits:
+  /// an entry drawn under older engine laws or kAuto routing is a miss, so
+  /// the caller recomputes and overwrites it instead of replaying it.
   [[nodiscard]] std::optional<std::string> find(const std::string& hash_hex,
                                                 std::uint64_t seed) const;
   /// Seed-independent lookup (verify / markov).  Only entries tagged with

@@ -98,18 +98,6 @@ std::optional<ScenarioMode> mode_from_name(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-std::optional<pp::Engine> engine_from_name(std::string_view name) noexcept {
-  if (name == "agent") return pp::Engine::kAgentArray;
-  if (name == "count") return pp::Engine::kCountVector;
-  if (name == "jump") return pp::Engine::kJump;
-  if (name == "batch") return pp::Engine::kBatch;
-  if (name == "batch-sharded") return pp::Engine::kBatchSharded;
-  if (name == "graph") return pp::Engine::kGraph;
-  if (name == "graph-jump") return pp::Engine::kGraphJump;
-  if (name == "auto") return pp::Engine::kAuto;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Serialization
 
@@ -585,7 +573,7 @@ std::optional<ScenarioSpec> parse_scenario_value(const io::JsonValue& value,
   }
 
   if (!read_string(value, "engine", &text, err)) return std::nullopt;
-  if (const auto engine = engine_from_name(text)) {
+  if (const auto engine = pp::engine_from_name(text)) {
     spec.engine = *engine;
   } else {
     *err = field_error("engine", "unknown engine \"" + text + "\"");

@@ -104,9 +104,6 @@ enum class ScenarioMode : std::uint8_t {
 /// Inverse of to_string(ScenarioMode); nullopt on unknown names.
 [[nodiscard]] std::optional<ScenarioMode> mode_from_name(
     std::string_view name) noexcept;
-/// Inverse of pp::engine_name; nullopt on unknown names.
-[[nodiscard]] std::optional<pp::Engine> engine_from_name(
-    std::string_view name) noexcept;
 
 /// One declarative scenario.  Default-constructed, it is a valid simulate
 /// spec (k-partition, k = 3, n = 12, complete graph, uniform fairness).

@@ -303,6 +303,7 @@ void ScenarioService::run_simulate(const ScenarioSpec& spec,
     w.member("scenario", hash_hex);
     w.member("seed", spec.seed);
     w.member("mode", "simulate");
+    w.member("engine_law", static_cast<std::uint64_t>(pp::kEngineLawVersion));
     w.key("trials");
     w.begin_array();
     for (const core::CampaignTrial& t : result.trials) {
@@ -437,6 +438,7 @@ void ScenarioService::run_conformance(const ScenarioSpec& spec,
     w.member("scenario", hash_hex);
     w.member("seed", spec.seed);
     w.member("mode", "conformance");
+    w.member("engine_law", static_cast<std::uint64_t>(pp::kEngineLawVersion));
     w.member("ok", report.ok());
     w.member("checks_run", static_cast<std::int64_t>(report.checks_run));
     w.key("divergences");

@@ -22,6 +22,7 @@
 #include "pp/graph_simulator.hpp"
 #include "pp/interaction_graph.hpp"
 #include "pp/jump_simulator.hpp"
+#include "pp/monte_carlo.hpp"
 #include "pp/stability.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -484,16 +485,6 @@ void with_engine(ConformanceEngine engine, const CaseContext& ctx,
   PPK_ASSERT(false);  // unreachable: all enumerators handled above
 }
 
-/// Final configuration, whichever of the two engine surfaces exposes it.
-template <typename Sim>
-[[nodiscard]] pp::Counts final_counts_of(const Sim& sim) {
-  if constexpr (requires { sim.population(); }) {
-    return sim.population().counts();
-  } else {
-    return sim.counts();
-  }
-}
-
 /// Runs one trial of `engine` with the given seed; chunk = 0 runs the whole
 /// budget in one grant, otherwise the budget is granted `chunk` pairs at a
 /// time through run()+resume().
@@ -505,33 +496,18 @@ TrialRun run_engine_trial(ConformanceEngine engine, const CaseContext& ctx,
   CheckingOracle oracle(*base_oracle, ref);
 
   auto drive = [&](auto& sim) {
-    pp::SimResult total;
-    if (chunk == 0) {
-      total = sim.run(oracle, budget);
-      return total;
-    }
-    bool first = true;
-    while (true) {
-      const std::uint64_t remaining = budget - total.interactions;
-      const std::uint64_t grant = std::min(chunk, remaining);
-      const pp::SimResult r =
-          first ? sim.run(oracle, grant) : sim.resume(oracle, grant);
-      first = false;
-      total.interactions += r.interactions;
-      total.effective += r.effective;
-      total.stabilized = r.stabilized;
-      if (r.stabilized || total.interactions >= budget) return total;
-      // An engine that returns short of its grant without stabilizing has
-      // stalled (zero live edges / silence): granting more budget would
-      // loop forever.
-      if (r.interactions < grant) return total;
-    }
+    pp::TrialResult total;
+    const pp::TrialEnd end =
+        pp::run_grants(sim, oracle, budget, chunk == 0 ? UINT64_MAX : chunk,
+                       0, total, [](std::uint64_t) { return false; });
+    return pp::SimResult{total.interactions, total.effective,
+                         end == pp::TrialEnd::kStabilized};
   };
 
   TrialRun run;
   with_engine(engine, ctx, seed, [&](auto& sim) {
     run.result = drive(sim);
-    run.final_counts = final_counts_of(sim);
+    run.final_counts = pp::counts_of(sim);
   });
   run.fingerprint = oracle.fingerprint();
   run.violation = oracle.violation();
@@ -718,7 +694,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       base_total.effective += r2.effective;
       base_total.stabilized = r2.stabilized;
     }
-    base_counts = final_counts_of(sim);
+    base_counts = pp::counts_of(sim);
   });
 
   // --- Interrupted run: identical first phase, then snapshot -> bytes ->
@@ -762,7 +738,7 @@ void check_snapshot_resume(const ConformanceCase& c, const CaseContext& ctx,
       total.effective += r2.effective;
       total.stabilized = r2.stabilized;
     }
-    final_counts = final_counts_of(sim);
+    final_counts = pp::counts_of(sim);
     fingerprint = oracle_b.fingerprint();
   });
 

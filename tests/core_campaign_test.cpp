@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -21,8 +22,11 @@
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "pp/fairness.hpp"
+#include "pp/interaction_graph.hpp"
+#include "pp/monte_carlo.hpp"
 #include "pp/stability.hpp"
 #include "pp/transition_table.hpp"
+#include "util/rng.hpp"
 
 #include <memory>
 #include <vector>
@@ -485,6 +489,176 @@ TEST_F(CampaignTest, WeakRoundRobinCheckpointResumesBitIdentically) {
     std::filesystem::remove(interrupted.checkpoint_path);
   }
 }
+
+TEST_F(CampaignTest, RejectsWatchOnTheShardedEngine) {
+  // The sharded batch engine aggregates draws and has no per-interaction
+  // indices; a forced watch must fail fast, as it does in the Monte-Carlo
+  // runner, instead of returning empty marks for every trial.
+  CampaignOptions options = base_options();
+  options.mc.trials = 1;
+  options.mc.engine = ppk::pp::Engine::kBatchSharded;
+  options.mc.watch_state = protocol_.g(3);
+  EXPECT_DEATH((void)run(options), "precondition");
+}
+
+/// One configuration of the shared trial driver: an engine (or kAuto), with
+/// a watch wherever the engine records one, a randomized topology for the
+/// graph engines, and a fairness policy for the adversarial route.
+struct DriverRow {
+  const char* name;
+  ppk::pp::Engine engine;
+  bool watch;
+  bool graph;
+  ppk::pp::FairnessSpec fairness;
+};
+
+void PrintTo(const DriverRow& row, std::ostream* out) { *out << row.name; }
+
+class CampaignDriverTest : public CampaignTest,
+                           public ::testing::WithParamInterface<DriverRow> {
+ protected:
+  /// Trial `trial` of `options` with its engine built directly and granted
+  /// `options.chunk_interactions` per run()/resume() call -- the reference
+  /// for the jump and batch engines, whose draws depend on where the grant
+  /// boundaries fall (so a chunked trial is not the unchunked one).
+  [[nodiscard]] ppk::pp::TrialResult chunked_reference(
+      const CampaignOptions& options, std::uint32_t trial) const {
+    const std::uint64_t seed =
+        ppk::derive_stream_seed(options.mc.master_seed, trial);
+    ppk::pp::Counts initial(protocol_.num_states(), 0);
+    initial[protocol_.initial_state()] = kN;
+    const auto oracle = ppk::core::stable_pattern_oracle(protocol_, kN);
+    const std::uint64_t budget = options.mc.max_interactions;
+    ppk::pp::TrialResult out;
+    const auto drive = [&](auto& sim) {
+      std::uint64_t consumed = 0;
+      while (true) {
+        const std::uint64_t grant =
+            std::min(options.chunk_interactions, budget - consumed);
+        const ppk::pp::SimResult r = consumed == 0
+                                         ? sim.run(*oracle, grant)
+                                         : sim.resume(*oracle, grant);
+        consumed += r.interactions;
+        out.interactions += r.interactions;
+        out.effective += r.effective;
+        if (r.stabilized) {
+          out.stabilized = true;
+          return;
+        }
+        if (r.interactions < grant) {
+          out.stalled = true;
+          return;
+        }
+        if (consumed >= budget) return;
+      }
+    };
+    switch (options.mc.engine) {
+      case ppk::pp::Engine::kJump: {
+        ppk::pp::JumpSimulator sim(table_, initial, seed);
+        if (options.mc.watch_state) {
+          sim.set_watch(*options.mc.watch_state, &out.watch_marks);
+        }
+        drive(sim);
+        break;
+      }
+      case ppk::pp::Engine::kBatch: {
+        ppk::pp::BatchSimulator sim(table_, initial, seed);
+        drive(sim);
+        break;
+      }
+      case ppk::pp::Engine::kBatchSharded: {
+        ppk::pp::BatchShardedSimulator sim(table_, initial, seed);
+        drive(sim);
+        break;
+      }
+      default:
+        ADD_FAILURE() << "no chunked reference for this engine";
+    }
+    return out;
+  }
+};
+
+TEST_P(CampaignDriverTest, CampaignTrialsAreMonteCarloTrials) {
+  // A campaign without a checkpoint path is run_monte_carlo driven in
+  // chunks: every trial's totals, outcome flags and watch marks must equal
+  // the Monte-Carlo runner's when the budget is granted in one chunk, and
+  // also in 997-interaction chunks wherever the engine's draws do not
+  // depend on grant boundaries (the others are checked against the same
+  // engine granted 997 at a time).
+  const DriverRow& row = GetParam();
+  CampaignOptions options = base_options();
+  options.mc.trials = 6;
+  options.mc.engine = row.engine;
+  options.mc.fairness = row.fairness;
+  if (row.watch) options.mc.watch_state = protocol_.g(3);
+  if (row.graph) {
+    // Sparse enough that some trials wedge or run out of budget, so the
+    // stalled and budget outcomes are compared too.
+    options.mc.graph = [](std::uint64_t seed) {
+      return ppk::pp::InteractionGraph::erdos_renyi(kN, 0.3, seed);
+    };
+  }
+  const auto oracle = [&] {
+    return ppk::core::stable_pattern_oracle(protocol_, kN);
+  };
+  const ppk::pp::MonteCarloResult reference =
+      ppk::pp::run_monte_carlo(protocol_, table_, kN, oracle, options.mc);
+  const bool grant_sensitive = row.engine == ppk::pp::Engine::kJump ||
+                               row.engine == ppk::pp::Engine::kBatch ||
+                               row.engine == ppk::pp::Engine::kBatchSharded;
+
+  for (const std::uint64_t chunk :
+       {options.mc.max_interactions, std::uint64_t{997}}) {
+    options.chunk_interactions = chunk;
+    const CampaignResult campaign = run(options);
+    ASSERT_TRUE(campaign.complete) << "chunk=" << chunk;
+    ASSERT_EQ(campaign.trials.size(), reference.trials.size());
+    for (std::size_t t = 0; t < campaign.trials.size(); ++t) {
+      const ppk::pp::TrialResult& got = campaign.trials[t].result;
+      const ppk::pp::TrialResult want =
+          grant_sensitive && chunk < options.mc.max_interactions
+              ? chunked_reference(options, static_cast<std::uint32_t>(t))
+              : reference.trials[t];
+      EXPECT_EQ(got.interactions, want.interactions)
+          << "chunk=" << chunk << " trial " << t;
+      EXPECT_EQ(got.effective, want.effective)
+          << "chunk=" << chunk << " trial " << t;
+      EXPECT_EQ(got.stabilized, want.stabilized)
+          << "chunk=" << chunk << " trial " << t;
+      EXPECT_EQ(got.timed_out, want.timed_out)
+          << "chunk=" << chunk << " trial " << t;
+      EXPECT_EQ(got.stalled, want.stalled)
+          << "chunk=" << chunk << " trial " << t;
+      EXPECT_EQ(got.watch_marks, want.watch_marks)
+          << "chunk=" << chunk << " trial " << t;
+    }
+  }
+}
+
+constexpr ppk::pp::FairnessSpec kUniform{};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CampaignDriverTest,
+    ::testing::Values(
+        DriverRow{"agent", ppk::pp::Engine::kAgentArray, true, false, kUniform},
+        DriverRow{"count", ppk::pp::Engine::kCountVector, true, false,
+                  kUniform},
+        DriverRow{"jump", ppk::pp::Engine::kJump, true, false, kUniform},
+        DriverRow{"batch", ppk::pp::Engine::kBatch, false, false, kUniform},
+        DriverRow{"batch_sharded", ppk::pp::Engine::kBatchSharded, false,
+                  false, kUniform},
+        DriverRow{"graph", ppk::pp::Engine::kGraph, false, true, kUniform},
+        DriverRow{"graph_jump", ppk::pp::Engine::kGraphJump, true, true,
+                  kUniform},
+        DriverRow{"auto", ppk::pp::Engine::kAuto, true, false, kUniform},
+        DriverRow{"auto_epsilon_fair", ppk::pp::Engine::kAuto, false, false,
+                  {ppk::pp::FairnessPolicy::kEpsilonFair, 0.5}},
+        DriverRow{"auto_weak_round_robin_topology", ppk::pp::Engine::kAuto,
+                  false, true,
+                  {ppk::pp::FairnessPolicy::kWeakRoundRobin, 1.0}}),
+    [](const ::testing::TestParamInfo<DriverRow>& row_info) {
+      return std::string(row_info.param.name);
+    });
 
 TEST_F(CampaignTest, StreamsTrialVerdictsAsTheyComplete) {
   CampaignOptions options = base_options();

@@ -65,7 +65,9 @@ TEST(FaultScheduleTest, EventCountTracksRateAndStaysSorted) {
   for (const auto& schedule : {few, many}) {
     for (std::size_t i = 0; i < schedule.size(); ++i) {
       EXPECT_LT(schedule[i].at, horizon);
-      if (i > 0) EXPECT_GE(schedule[i].at, schedule[i - 1].at);
+      if (i > 0) {
+        EXPECT_GE(schedule[i].at, schedule[i - 1].at);
+      }
     }
   }
 }

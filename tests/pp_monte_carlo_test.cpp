@@ -132,6 +132,20 @@ TEST_F(MonteCarloTest, WatchOnBatchEngineFailsFast) {
       "precondition");
 }
 
+TEST_F(MonteCarloTest, EngineFromNameInvertsEngineName) {
+  // One name table serves both directions, so every enumerator round-trips
+  // and no name outside the table parses.
+  for (int e = 0; e <= static_cast<int>(Engine::kAuto); ++e) {
+    const auto engine = static_cast<Engine>(e);
+    const std::optional<Engine> back = engine_from_name(engine_name(engine));
+    ASSERT_TRUE(back.has_value()) << engine_name(engine);
+    EXPECT_EQ(*back, engine) << engine_name(engine);
+  }
+  EXPECT_EQ(engine_from_name("batch-sharded"), Engine::kBatchSharded);
+  EXPECT_FALSE(engine_from_name("sharded").has_value());
+  EXPECT_FALSE(engine_from_name("").has_value());
+}
+
 TEST_F(MonteCarloTest, AutoEngineResolutionPolicy) {
   // kAuto picks by population size: the agent array below kJumpCrossover,
   // jump from it on, with or without watch marks; explicit choices pass

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "pp/monte_carlo.hpp"
+
 namespace ppk::serve {
 namespace {
 
@@ -299,6 +301,66 @@ TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
             std::string::npos);
 }
 
+TEST(ServeServer, StaleEngineLawSimEntryIsRecomputedNotReplayed) {
+  // A sim entry drawn under other engine laws -- stamped with another
+  // pp::kEngineLawVersion, or unstamped because it predates the stamp --
+  // must be recomputed, not replayed, and the recomputation overwrites it
+  // with a frame byte-equal to a fresh run's.
+  ServiceOptions options;
+  options.state_dir = temp_dir("sim_law");
+  ScenarioService service(options);
+  FrameLog log;
+
+  ScenarioSpec spec;
+  spec.n = 12;
+  spec.trials = 3;
+  spec.seed = 5;
+  spec.budget = 1'000'000;
+
+  EXPECT_TRUE(service.handle_line(submit_line("s0", spec), log.emit()));
+  const std::vector<std::string> results = of_kind(log.take(), "result");
+  ASSERT_EQ(results.size(), 1u);
+  const std::string stamp =
+      "\"engine_law\": " + std::to_string(pp::kEngineLawVersion) + ",";
+  EXPECT_NE(results[0].find(stamp), std::string::npos);
+
+  const std::string entry =
+      service.cache().entry_path(scenario_hash_hex(spec), spec.seed);
+  ASSERT_TRUE(file_exists(entry));
+  const std::string stale_frames[] = {
+      "{\"event\": \"result\", \"mode\": \"simulate\", \"trials\": []}",
+      "{\"event\": \"result\", \"mode\": \"simulate\", \"engine_law\": " +
+          std::to_string(pp::kEngineLawVersion - 1) + ", \"trials\": []}",
+      "{\"event\": \"result\", \"mode\": \"simulate\", \"engine_law\": " +
+          std::to_string(pp::kEngineLawVersion * 10) + ", \"trials\": []}",
+  };
+  int round = 0;
+  for (const std::string& stale : stale_frames) {
+    SCOPED_TRACE(stale);
+    {
+      std::ofstream out(entry, std::ios::trunc);
+      out << stale << '\n';
+    }
+    const std::string id = "s" + std::to_string(++round);
+    EXPECT_TRUE(service.handle_line(submit_line(id, spec), log.emit()));
+    const std::vector<std::string> frames = log.take();
+    ASSERT_EQ(of_kind(frames, "accepted").size(), 1u);
+    EXPECT_NE(of_kind(frames, "accepted")[0].find("\"cached\": false"),
+              std::string::npos);
+    const std::vector<std::string> recomputed = of_kind(frames, "result");
+    ASSERT_EQ(recomputed.size(), 1u);
+    EXPECT_EQ(recomputed[0], results[0]);
+  }
+
+  // The entry on disk is current again: the next submission is a hit that
+  // replays the same bytes.
+  EXPECT_TRUE(service.handle_line(submit_line("hit", spec), log.emit()));
+  const std::vector<std::string> hit = log.take();
+  ASSERT_EQ(hit.size(), 2u);
+  EXPECT_NE(hit[0].find("\"cached\": true"), std::string::npos);
+  EXPECT_EQ(hit[1], results[0]);
+}
+
 TEST(ServeServer, ConformanceModeRunsTheHarness) {
   ServiceOptions options;
   options.state_dir = temp_dir("conf");
@@ -317,6 +379,8 @@ TEST(ServeServer, ConformanceModeRunsTheHarness) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NE(results[0].find("\"mode\": \"conformance\""), std::string::npos);
   EXPECT_NE(results[0].find("\"ok\": true"), std::string::npos);
+  // Conformance entries share the seed-dependent cache and its stamp.
+  EXPECT_NE(results[0].find("\"engine_law\": "), std::string::npos);
 }
 
 TEST(ServeServer, CancelCheckpointsAndResumeCompletesIdentically) {
