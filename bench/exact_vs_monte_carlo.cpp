@@ -18,7 +18,10 @@
 //              produce the same expectation to <= 1e-9 relative error
 //              (gated by scripts/check_bench_regression.py), and
 //   ceiling    per family, one chain at least 10x past the dense solver's
-//              3000-unknown cap that the lumped path still answers.
+//              3000-unknown cap that the lumped path still answers, with
+//              its solve report (SCC blocks, the largest, how many were
+//              solved directly, sweeps on the rest, and the certified
+//              residual).
 //
 // Every gated figure is exact (a count or a solver answer), so the report
 // needs no timing calibration; --json writes the machine-readable report
@@ -26,6 +29,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -135,7 +139,15 @@ struct CeilingRow {
   double expected_interactions;
   double seconds;
   bool solved;
+  ppk::util::SolveCertificate solve;  // the lumped solve's report
 };
+
+/// A residual or bound, whose size the table's fixed decimals would hide.
+std::string scientific(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.1e", value);
+  return text;
+}
 
 /// The dense back end's hard system-size cap (verify/markov.cpp throws
 /// past it); the ceiling gate requires the lumped rows to sit >= 10x it.
@@ -276,9 +288,10 @@ int main(int argc, char** argv) {
               "---\n",
               static_cast<unsigned long long>(kDenseCap));
   std::vector<CeilingRow> ceiling;
-  ppk::analysis::Table ceiling_table({"family", "k", "n", "configs",
-                                      "orbits", "|G|", "E[interactions]",
-                                      "seconds"});
+  ppk::analysis::Table ceiling_table(
+      {"family", "k", "n", "configs", "orbits", "|G|", "E[interactions]",
+       "seconds", "blocks", "largest", "direct", "sweeps", "residual",
+       "bound"});
   for (const Family& family : families) {
     if (ppk::bench::interrupted()) break;
     const auto protocol = family.make();
@@ -299,15 +312,15 @@ int main(int argc, char** argv) {
       }
     }
     CeilingRow row{family.name, family.k, n, configs, 0, 0, -1.0, 0.0,
-                   false};
+                   false, {}};
     if (n != 0) {
       const auto start = std::chrono::steady_clock::now();
       ppk::verify::MarkovOptions options;
       options.symmetry = protocol->symmetry();
       const ppk::verify::MarkovAnalysis lumped(tt, all_initial(*protocol, n),
                                                std::move(options));
-      const auto expected =
-          lumped.expected_hitting_time(family.target(*protocol, tt, n));
+      const auto expected = lumped.lumped().expected_hitting_time(
+          family.target(*protocol, tt, n), &row.solve);
       row.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -321,7 +334,11 @@ int main(int argc, char** argv) {
     ceiling.push_back(row);
     ceiling_table.row(row.family, row.k, row.n, row.reachable_configs,
                       row.orbits, row.group_order,
-                      row.expected_interactions, row.seconds);
+                      row.expected_interactions, row.seconds,
+                      row.solve.blocks, row.solve.largest_block,
+                      row.solve.direct_blocks, row.solve.sweeps,
+                      scientific(row.solve.residual),
+                      scientific(row.solve.residual_bound));
   }
   ceiling_table.print(std::cout);
 
@@ -403,6 +420,14 @@ int main(int argc, char** argv) {
       json.member("expected_interactions", row.expected_interactions);
       json.member("seconds", row.seconds);
       json.member("solved", row.solved);
+      json.member("blocks", static_cast<std::uint64_t>(row.solve.blocks));
+      json.member("largest_block",
+                  static_cast<std::uint64_t>(row.solve.largest_block));
+      json.member("direct_blocks",
+                  static_cast<std::uint64_t>(row.solve.direct_blocks));
+      json.member("sweeps", static_cast<std::uint64_t>(row.solve.sweeps));
+      json.member("residual", row.solve.residual);
+      json.member("residual_bound", row.solve.residual_bound);
       json.end_object();
     }
     json.end_array();

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "io/atomic_file.hpp"
+#include "io/json_reader.hpp"
 #include "pp/monte_carlo.hpp"
 
 namespace ppk::serve {
@@ -23,6 +24,13 @@ std::optional<std::string> read_file(const std::string& path) {
   buffer << in.rdbuf();
   if (in.bad()) return std::nullopt;
   return buffer.str();
+}
+
+/// True iff `frame` is an object whose "scenario" member is `hash_hex`.
+bool names_scenario(const io::JsonValue& frame, const std::string& hash_hex) {
+  const io::JsonValue* scenario = frame.find("scenario");
+  return scenario != nullptr && scenario->is_string() &&
+         scenario->as_string() == hash_hex;
 }
 
 }  // namespace
@@ -45,12 +53,19 @@ std::optional<std::string> ResultCache::find(const std::string& hash_hex,
   if (!enabled()) return std::nullopt;
   std::optional<std::string> entry = read_file(entry_path(hash_hex, seed));
   if (!entry) return std::nullopt;
-  // Entries drawn under another engine-law version (or before the stamp
-  // existed) are misses: the caller recomputes and overwrites them.  The
-  // stamp is never a frame's last member, so the comma ends the number.
-  const std::string tag =
-      "\"engine_law\": " + std::to_string(pp::kEngineLawVersion) + ",";
-  if (entry->find(tag) == std::string::npos) return std::nullopt;
+  // A hit must parse and name the requested (scenario, seed) itself, so an
+  // entry copied or renamed under another key is a miss.  Entries drawn
+  // under another engine-law version (or before the stamp existed) are
+  // misses too: the caller recomputes and overwrites them.
+  const std::optional<io::JsonValue> frame = io::parse_json(*entry);
+  if (!frame || !names_scenario(*frame, hash_hex)) return std::nullopt;
+  const io::JsonValue* entry_seed = frame->find("seed");
+  const io::JsonValue* law = frame->find("engine_law");
+  if (entry_seed == nullptr || !entry_seed->is_number() ||
+      entry_seed->as_u64() != seed || law == nullptr || !law->is_number() ||
+      law->as_u64() != std::uint64_t{pp::kEngineLawVersion}) {
+    return std::nullopt;
+  }
   return entry;
 }
 
@@ -59,11 +74,16 @@ std::optional<std::string> ResultCache::find_exact(
   if (!enabled()) return std::nullopt;
   std::optional<std::string> entry = read_file(exact_entry_path(hash_hex));
   if (!entry) return std::nullopt;
-  // Untagged (pre-v2) or differently-tagged entries are misses: the caller
-  // recomputes and overwrites them with a current frame.
-  const std::string tag =
-      "\"exact_schema\": \"" + std::string(kExactResultSchema) + "\"";
-  if (entry->find(tag) == std::string::npos) return std::nullopt;
+  // Entries naming another scenario, and untagged (pre-v2) or
+  // differently-tagged ones, are misses: the caller recomputes and
+  // overwrites them with a current frame.
+  const std::optional<io::JsonValue> frame = io::parse_json(*entry);
+  if (!frame || !names_scenario(*frame, hash_hex)) return std::nullopt;
+  const io::JsonValue* schema = frame->find("exact_schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->as_string() != kExactResultSchema) {
+    return std::nullopt;
+  }
   return entry;
 }
 

@@ -17,7 +17,9 @@
 // daemon killed mid-store never leaves a torn entry.  Both kinds of entry
 // are versioned: exact frames by kExactResultSchema, seed-dependent frames
 // by pp::kEngineLawVersion (member "engine_law"), since a seed's draws are
-// only reproducible under the engine laws that drew them.
+// only reproducible under the engine laws that drew them.  Lookups parse
+// the entry and check that it names the requested key, so a file that
+// landed under the wrong name is a miss, not someone else's answer.
 
 #pragma once
 
@@ -30,11 +32,12 @@ namespace ppk::serve {
 
 /// Schema tag every exact result frame must carry (as member
 /// "exact_schema") to be served from the cache.  Bump it whenever the
-/// meaning or fields of an exact answer change -- v2 introduced the
-/// solver-tagged frames of the lumped Markov back end; v1 frames carried
-/// no tag at all and are therefore recognized (and invalidated) by the
-/// tag's absence.
-inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v2";
+/// meaning, fields or digits of an exact answer change -- v3 answers come
+/// from the block-triangular solver and differ from v2's in the 10th
+/// digit; v2 introduced the solver-tagged frames of the lumped Markov back
+/// end; v1 frames carried no tag at all and are therefore recognized (and
+/// invalidated) by the tag's absence.
+inline constexpr std::string_view kExactResultSchema = "ppkd-exact-v3";
 
 /// The (scenario-hash, seed) result cache.  Thread-compatible: the daemon
 /// serializes access through its job lock.
@@ -44,18 +47,22 @@ class ResultCache {
   /// empty dir disables the cache: lookups miss, stores drop.
   explicit ResultCache(std::string dir);
 
-  /// Seed-dependent lookup (simulate / conformance).  Only entries stamped
-  /// with the current pp::kEngineLawVersion (member "engine_law") are hits:
-  /// an entry drawn under older engine laws or kAuto routing is a miss, so
-  /// the caller recomputes and overwrites it instead of replaying it.
+  /// Seed-dependent lookup (simulate / conformance).  An entry is a hit
+  /// only if it parses, its own "scenario" and "seed" members are the
+  /// requested key, and it is stamped with the current
+  /// pp::kEngineLawVersion (member "engine_law"): an entry filed under
+  /// another key, or drawn under older engine laws or kAuto routing, is a
+  /// miss, so the caller recomputes and overwrites it instead of replaying
+  /// it.
   [[nodiscard]] std::optional<std::string> find(const std::string& hash_hex,
                                                 std::uint64_t seed) const;
-  /// Seed-independent lookup (verify / markov).  Only entries tagged with
-  /// the current kExactResultSchema are hits: an exact answer's meaning
-  /// depends on the solver generation that produced it, so untagged
-  /// entries written by an older daemon are treated as misses and
-  /// recomputed (then re-stored with the tag) instead of being replayed
-  /// as if current.
+  /// Seed-independent lookup (verify / markov).  Only entries that parse,
+  /// name the requested scenario in their own "scenario" member and are
+  /// tagged with the current kExactResultSchema are hits: an exact
+  /// answer's meaning depends on the solver generation that produced it,
+  /// so untagged or older-tagged entries written by an older daemon are
+  /// treated as misses and recomputed (then re-stored with the tag)
+  /// instead of being replayed as if current.
   [[nodiscard]] std::optional<std::string> find_exact(
       const std::string& hash_hex) const;
 

@@ -1,7 +1,9 @@
 #include "verify/lumped_markov.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -76,6 +78,13 @@ RawRow raw_row(const pp::TransitionTable& table,
   PPK_ASSERT(effective <= denom);
   row.stay = denom - effective;
   return row;
+}
+
+/// True iff certificate `a` is further past (or less far below) its
+/// residual bound than `b`; a failed certificate is worse than a passed one.
+bool worse(const util::SolveCertificate& a, const util::SolveCertificate& b) {
+  if (a.converged != b.converged) return !a.converged;
+  return a.residual * b.residual_bound > b.residual * a.residual_bound;
 }
 
 }  // namespace
@@ -276,8 +285,131 @@ std::uint64_t LumpedMarkovAnalysis::self_numerator(std::size_t orbit) const {
   return self;
 }
 
+LumpedMarkovAnalysis::JumpSystem LumpedMarkovAnalysis::jump_system(
+    const std::vector<char>& unknown) const {
+  // Unknowns in ascending SCC id.  SCC ids are reverse topological, so
+  // every transition out of a block leads into a block before it, and the
+  // matrix is block lower triangular with one block per SCC (a block may
+  // be reducible once targets are removed from it; it is still solved
+  // whole).
+  JumpSystem system;
+  system.row_of.assign(reps_.size(), UINT32_MAX);
+  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
+    if (unknown[orbit]) system.orbits.push_back(orbit);
+  }
+  std::stable_sort(system.orbits.begin(), system.orbits.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return scc_of_[a] < scc_of_[b];
+                   });
+  const auto m = static_cast<std::uint32_t>(system.orbits.size());
+  system.blocks.push_back(0);
+  for (std::uint32_t row = 0; row < m; ++row) {
+    system.row_of[system.orbits[row]] = row;
+    if (row > 0 &&
+        scc_of_[system.orbits[row]] != scc_of_[system.orbits[row - 1]]) {
+      system.blocks.push_back(row);
+    }
+  }
+  if (m > 0) system.blocks.push_back(m);
+
+  // Embedded jump chain: with L = denom - self_numerator (the leave rate),
+  // x[orbit] = b[orbit] + sum_{j != orbit} (w_j / L) x[j].  Nulls and
+  // within-orbit transitions both fold into L exactly -- no floating
+  // accumulation of per-edge probabilities, so the matrix entries are
+  // single exact-integer ratios.  An orbit's rates name distinct orbits,
+  // so the CSR arrays are sized exactly up front and filled row by row.
+  util::CsrMatrix& a = system.a;
+  a.rows = m;
+  a.cols = m;
+  a.row_ptr.assign(m + 1, 0);
+  for (std::uint32_t row = 0; row < m; ++row) {
+    const std::uint32_t orbit = system.orbits[row];
+    std::size_t entries = 1;  // the diagonal
+    for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
+      if (target_orbit != orbit &&
+          system.row_of[target_orbit] != UINT32_MAX) {
+        ++entries;
+      }
+    }
+    a.row_ptr[row + 1] = a.row_ptr[row] + entries;
+  }
+  a.col.resize(a.row_ptr[m]);
+  a.value.resize(a.row_ptr[m]);
+  system.leave.resize(m);
+  std::vector<std::pair<std::uint32_t, double>> entries;  // one row's
+  for (std::uint32_t row = 0; row < m; ++row) {
+    const std::uint32_t orbit = system.orbits[row];
+    const std::uint64_t leave = denom_ - self_numerator(orbit);
+    // A zero leave rate would mean an absorbing unknown orbit: its
+    // singleton SCC is bottom, which neither caller makes an unknown.
+    PPK_ASSERT(leave > 0);
+    system.leave[row] = leave;
+    entries.assign(1, {row, 1.0});
+    for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
+      if (target_orbit == orbit) continue;
+      if (system.row_of[target_orbit] == UINT32_MAX) continue;
+      entries.emplace_back(system.row_of[target_orbit],
+                           -static_cast<double>(numerator) /
+                               static_cast<double>(leave));
+    }
+    std::sort(entries.begin(), entries.end());
+    std::size_t at = a.row_ptr[row];
+    for (const auto& [col, value] : entries) {
+      a.col[at] = col;
+      a.value[at] = value;
+      ++at;
+    }
+  }
+  return system;
+}
+
+std::vector<double> LumpedMarkovAnalysis::certified_solve(
+    const JumpSystem& system, const std::vector<double>& b,
+    std::uint32_t num_rhs, const std::string& what,
+    util::SolveCertificate& cert) const {
+  std::vector<double> x;
+  cert = util::solve_block_triangular(system.a, system.blocks, b, x, num_rhs,
+                                      solver_);
+  if (!cert.converged) {
+    // Never silent: sweep the whole system, seeded with the block result,
+    // one right-hand side at a time.
+    const std::size_t m = system.orbits.size();
+    util::SolveCertificate swept;  // the worst column's
+    std::uint32_t sweeps = 0;
+    std::vector<double> column_b(m);
+    std::vector<double> column_x(m);
+    for (std::uint32_t j = 0; j < num_rhs; ++j) {
+      for (std::size_t row = 0; row < m; ++row) {
+        column_b[row] = b[row * num_rhs + j];
+        const double seed = x[row * num_rhs + j];
+        column_x[row] = std::isfinite(seed) ? seed : 0.0;
+      }
+      const util::SolveCertificate column =
+          util::solve_sparse(system.a, column_b, column_x, solver_);
+      for (std::size_t row = 0; row < m; ++row) {
+        x[row * num_rhs + j] = column_x[row];
+      }
+      sweeps += column.sweeps;
+      if (j == 0 || worse(column, swept)) swept = column;
+    }
+    cert.converged = swept.converged;
+    cert.sweeps += sweeps;
+    cert.residual = swept.residual;
+    cert.residual_bound = swept.residual_bound;
+  }
+  if (!cert.converged) {
+    throw std::runtime_error(
+        "lumped: sparse solve failed to certify convergence" + what +
+        " (residual " + std::to_string(cert.residual) + " > bound " +
+        std::to_string(cert.residual_bound) + " after " +
+        std::to_string(cert.sweeps) + " sweeps)");
+  }
+  return x;
+}
+
 std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
-    const ConfigPredicate& target) const {
+    const ConfigPredicate& target, util::SolveCertificate* report) const {
+  if (report != nullptr) *report = {};
   const std::vector<char> is_target = target_orbits(target);
   if (is_target[0]) return 0.0;  // orbit 0 holds the initial configuration
 
@@ -291,78 +423,28 @@ std::optional<double> LumpedMarkovAnalysis::expected_hitting_time(
     if (bottom_[scc] && !scc_has_target[scc]) return std::nullopt;
   }
 
-  // Unknowns: non-target orbits, ordered by ascending SCC id.  SCC ids are
-  // reverse topological, so Gauss-Seidel sweeps update an orbit only after
-  // the orbits it feeds into (absorbing side first) -- the sweep then
-  // propagates information backward along every path per pass.
-  std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
-  std::vector<std::uint32_t> unknown_orbits;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    if (!is_target[orbit]) unknown_orbits.push_back(orbit);
+  // Unknowns: the non-target orbits.  E[orbit] = denom/L + the jump
+  // chain's average of E over the orbit's non-target successors.
+  std::vector<char> unknown(is_target.size());
+  for (std::size_t orbit = 0; orbit < unknown.size(); ++orbit) {
+    unknown[orbit] = is_target[orbit] ? 0 : 1;
   }
-  std::stable_sort(unknown_orbits.begin(), unknown_orbits.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return scc_of_[a] < scc_of_[b];
-                   });
-  for (std::uint32_t row = 0; row < unknown_orbits.size(); ++row) {
-    unknown_index[unknown_orbits[row]] = row;
+  const JumpSystem system = jump_system(unknown);
+  std::vector<double> b(system.orbits.size());
+  for (std::size_t row = 0; row < b.size(); ++row) {
+    b[row] = static_cast<double>(denom_) /
+             static_cast<double>(system.leave[row]);
   }
-  const auto m = static_cast<std::uint32_t>(unknown_orbits.size());
-  if (m == 0) return 0.0;
-
-  // Embedded jump chain: with L = denom - self_numerator (the leave rate),
-  // E[orbit] = denom/L + sum_{j != orbit} (w_j / L) E[j].  Nulls and
-  // within-orbit transitions both fold into L exactly -- no floating
-  // accumulation of per-edge probabilities, so the matrix entries are
-  // single exact-integer ratios.
-  util::CsrBuilder builder(m, m);
-  std::vector<double> b(m, 0.0);
-  for (std::uint32_t row = 0; row < m; ++row) {
-    const std::uint32_t orbit = unknown_orbits[row];
-    const std::uint64_t leave = denom_ - self_numerator(orbit);
-    // A zero leave rate would mean an absorbing non-target orbit: its
-    // singleton SCC is bottom and target-free, caught above.
-    PPK_ASSERT(leave > 0);
-    builder.add(row, row, 1.0);
-    for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
-      if (target_orbit == orbit || is_target[target_orbit]) continue;
-      builder.add(row, unknown_index[target_orbit],
-                  -static_cast<double>(numerator) /
-                      static_cast<double>(leave));
-    }
-    b[row] = static_cast<double>(denom_) / static_cast<double>(leave);
-  }
-  const util::CsrMatrix a = builder.build();
-  std::vector<double> x;
-  const util::SolveCertificate cert = util::solve_sparse(a, b, x, solver_);
-  if (!cert.converged) {
-    throw std::runtime_error(
-        "lumped: sparse solve failed to certify convergence (residual " +
-        std::to_string(cert.residual) + " > bound " +
-        std::to_string(cert.residual_bound) + " after " +
-        std::to_string(cert.sweeps) + " sweeps)");
-  }
-  return x[unknown_index[0]];
+  util::SolveCertificate cert;
+  const std::vector<double> x = certified_solve(system, b, 1, "", cert);
+  if (report != nullptr) *report = cert;
+  return x[system.row_of[0]];
 }
 
 std::vector<LumpedMarkovAnalysis::Absorption>
-LumpedMarkovAnalysis::absorption_probabilities() const {
-  // Transient = not in a bottom SCC; same reverse-topological ordering as
-  // expected_hitting_time.
-  std::vector<std::uint32_t> unknown_index(reps_.size(), UINT32_MAX);
-  std::vector<std::uint32_t> unknown_orbits;
-  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
-    if (!bottom_[scc_of_[orbit]]) unknown_orbits.push_back(orbit);
-  }
-  std::stable_sort(unknown_orbits.begin(), unknown_orbits.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return scc_of_[a] < scc_of_[b];
-                   });
-  for (std::uint32_t row = 0; row < unknown_orbits.size(); ++row) {
-    unknown_index[unknown_orbits[row]] = row;
-  }
-  const auto m = static_cast<std::uint32_t>(unknown_orbits.size());
-
+LumpedMarkovAnalysis::absorption_probabilities(
+    util::SolveCertificate* report) const {
+  if (report != nullptr) *report = {};
   // First orbit per bottom SCC names the absorption outcome.
   std::vector<std::uint32_t> first_orbit(num_sccs_, UINT32_MAX);
   std::vector<std::uint32_t> bottoms;
@@ -376,7 +458,7 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
 
   const std::uint32_t initial_scc = scc_of_[0];
   std::vector<Absorption> result;
-  if (m == 0 || bottom_[initial_scc]) {
+  if (bottom_[initial_scc]) {
     for (const std::uint32_t scc : bottoms) {
       result.push_back(Absorption{scc, reps_[first_orbit[scc]],
                                   scc == initial_scc ? 1.0 : 0.0});
@@ -384,47 +466,56 @@ LumpedMarkovAnalysis::absorption_probabilities() const {
     return result;
   }
 
-  // One matrix, one rhs per bottom SCC: (I - Q) x = r with
-  // r[orbit] = P(jump from orbit directly into the SCC).
-  util::CsrBuilder builder(m, m);
-  std::vector<std::uint64_t> leaves(m, 0);
-  for (std::uint32_t row = 0; row < m; ++row) {
-    const std::uint32_t orbit = unknown_orbits[row];
-    const std::uint64_t leave = denom_ - self_numerator(orbit);
-    PPK_ASSERT(leave > 0);  // transient orbits always have an exit
-    leaves[row] = leave;
-    builder.add(row, row, 1.0);
-    for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
-      if (target_orbit == orbit) continue;
-      if (unknown_index[target_orbit] == UINT32_MAX) continue;
-      builder.add(row, unknown_index[target_orbit],
-                  -static_cast<double>(numerator) /
-                      static_cast<double>(leave));
-    }
+  // Unknowns: the transient orbits (not in a bottom SCC).  One matrix, one
+  // right-hand side per bottom SCC: (I - Q) x = r with r[orbit] =
+  // P(jump from orbit directly into the SCC).  The bottoms are solved in
+  // batches, each batch one block solve that eliminates every block once.
+  std::vector<char> unknown(reps_.size());
+  for (std::size_t orbit = 0; orbit < unknown.size(); ++orbit) {
+    unknown[orbit] = bottom_[scc_of_[orbit]] ? 0 : 1;
   }
-  const util::CsrMatrix a = builder.build();
-
-  for (const std::uint32_t scc : bottoms) {
-    std::vector<double> b(m, 0.0);
-    for (std::uint32_t row = 0; row < m; ++row) {
-      const std::uint32_t orbit = unknown_orbits[row];
+  const JumpSystem system = jump_system(unknown);
+  const std::size_t m = system.orbits.size();
+  constexpr std::size_t kBatch = 32;
+  std::vector<std::uint32_t> column_of(num_sccs_, UINT32_MAX);
+  for (std::size_t first = 0; first < bottoms.size(); first += kBatch) {
+    const auto width = static_cast<std::uint32_t>(
+        std::min(kBatch, bottoms.size() - first));
+    for (std::uint32_t j = 0; j < width; ++j) column_of[bottoms[first + j]] = j;
+    std::vector<double> b(m * width, 0.0);
+    for (std::size_t row = 0; row < m; ++row) {
+      const std::uint32_t orbit = system.orbits[row];
       for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
-        if (unknown_index[target_orbit] == UINT32_MAX &&
-            scc_of_[target_orbit] == scc) {
-          b[row] += static_cast<double>(numerator) /
-                    static_cast<double>(leaves[row]);
+        if (system.row_of[target_orbit] != UINT32_MAX) continue;
+        const std::uint32_t j = column_of[scc_of_[target_orbit]];
+        if (j == UINT32_MAX) continue;
+        b[row * width + j] += static_cast<double>(numerator) /
+                              static_cast<double>(system.leave[row]);
+      }
+    }
+    util::SolveCertificate cert;
+    const std::vector<double> x = certified_solve(
+        system, b, width,
+        " for bottom SCCs " + std::to_string(bottoms[first]) + ".." +
+            std::to_string(bottoms[first + width - 1]),
+        cert);
+    for (std::uint32_t j = 0; j < width; ++j) {
+      const std::uint32_t scc = bottoms[first + j];
+      result.push_back(Absorption{scc, reps_[first_orbit[scc]],
+                                  x[system.row_of[0] * width + j]});
+      column_of[scc] = UINT32_MAX;
+    }
+    if (report != nullptr) {
+      if (first == 0) {
+        *report = cert;
+      } else {
+        report->sweeps += cert.sweeps;
+        if (worse(cert, *report)) {
+          report->residual = cert.residual;
+          report->residual_bound = cert.residual_bound;
         }
       }
     }
-    std::vector<double> x;
-    const util::SolveCertificate cert = util::solve_sparse(a, b, x, solver_);
-    if (!cert.converged) {
-      throw std::runtime_error(
-          "lumped: sparse solve failed to certify convergence for SCC " +
-          std::to_string(scc));
-    }
-    result.push_back(
-        Absorption{scc, reps_[first_orbit[scc]], x[unknown_index[0]]});
   }
   return result;
 }
@@ -435,7 +526,23 @@ std::vector<double> LumpedMarkovAnalysis::hitting_time_cdf(
 
   // Step the full lumped chain (self-loops as stay mass) with target
   // orbits absorbing; F[t] is then exactly the absorbed mass after t
-  // interactions.
+  // interactions.  Every step multiplies by the same numerator/denom
+  // quotients, so they are computed once, in the order the step uses.
+  const auto denom = static_cast<double>(denom_);
+  std::vector<double> stay(reps_.size());
+  std::vector<std::size_t> first_move(reps_.size() + 1, 0);
+  std::vector<std::pair<std::uint32_t, double>> moves;
+  std::vector<std::uint32_t> targets;
+  for (std::uint32_t orbit = 0; orbit < reps_.size(); ++orbit) {
+    if (is_target[orbit]) targets.push_back(orbit);
+    stay[orbit] = static_cast<double>(self_numerator(orbit)) / denom;
+    for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
+      if (target_orbit == orbit) continue;
+      moves.emplace_back(target_orbit, static_cast<double>(numerator) / denom);
+    }
+    first_move[orbit + 1] = moves.size();
+  }
+
   std::vector<double> dist(reps_.size(), 0.0);
   dist[0] = 1.0;
   std::vector<double> next(reps_.size(), 0.0);
@@ -443,28 +550,25 @@ std::vector<double> LumpedMarkovAnalysis::hitting_time_cdf(
 
   const auto absorbed = [&](const std::vector<double>& d) {
     util::CompensatedSum acc;
-    for (std::size_t orbit = 0; orbit < d.size(); ++orbit) {
-      if (is_target[orbit]) acc.add(d[orbit]);
-    }
+    for (const std::uint32_t orbit : targets) acc.add(d[orbit]);
     return acc.value();
   };
 
   cdf[0] = absorbed(dist);
-  const auto denom = static_cast<double>(denom_);
   for (std::size_t t = 1; t <= horizon; ++t) {
     std::fill(next.begin(), next.end(), 0.0);
     for (std::size_t orbit = 0; orbit < dist.size(); ++orbit) {
       const double mass = dist[orbit];
-      if (mass == 0.0) continue;
       if (is_target[orbit]) {
-        next[orbit] += mass;  // absorbing
+        if (mass != 0.0) next[orbit] += mass;  // absorbing
         continue;
       }
-      next[orbit] +=
-          mass * (static_cast<double>(self_numerator(orbit)) / denom);
-      for (const auto& [target_orbit, numerator] : rows_[orbit].rates) {
-        if (target_orbit == orbit) continue;
-        next[target_orbit] += mass * (static_cast<double>(numerator) / denom);
+      // Zero or sub-normal: its products would be sub-normal too, and
+      // arithmetic on those is many times slower than on normal doubles.
+      if (mass < std::numeric_limits<double>::min()) continue;
+      next[orbit] += mass * stay[orbit];
+      for (std::size_t i = first_move[orbit]; i < first_move[orbit + 1]; ++i) {
+        next[moves[i].first] += mass * moves[i].second;
       }
     }
     dist.swap(next);

@@ -14,14 +14,29 @@
 // integer numerators over the common denominator n*(n-1), certifies
 // lumpability programmatically (an exact per-orbit-pair rate-sum check
 // against every group element, not a trust-the-declaration shortcut), and
-// solves the resulting linear systems with the residual-certified sparse
-// Gauss-Seidel of util/csr.hpp instead of dense elimination.
+// solves the resulting linear systems block by block instead of by dense
+// elimination.
 //
-// The win is twofold: the orbit quotient shrinks the state space by up to
-// the group order, and the sparse solver removes the few-thousand-unknown
-// ceiling of dense elimination -- together they push exact analysis an
-// order of magnitude past where markov.hpp's dense path gives up
-// (bench/exact_vs_monte_carlo measures the ceilings).
+// The solves exploit the chain's structure.  Orbit-graph SCC ids come out
+// of Tarjan's algorithm in reverse topological order, so with the unknowns
+// sorted by ascending SCC id the system (I - Q) x = b is block lower
+// triangular: every transition out of an SCC leads into one whose block is
+// already solved.  util::solve_block_triangular then solves each SCC block
+// once (a division, dense LU up to util::kDirectBlockCap unknowns,
+// Gauss-Seidel above it) and certifies the whole system with one
+// compensated residual; a failed certificate falls back to the global
+// util::solve_sparse before it is reported as an error.  The hitting-time
+// CDF steps the chain itself and skips orbits whose mass is below the
+// smallest normal double: stepping sub-normal mass is slow on every common
+// FPU and moves no bit of F on the chains this repo pins.
+//
+// The win is threefold: the orbit quotient shrinks the state space by up
+// to the group order, the sparse matrix removes the few-thousand-unknown
+// ceiling of dense elimination, and the block order makes each solve cost
+// about one pass over the chain plus the work of its largest SCC --
+// together they push exact analysis an order of magnitude past where
+// markov.hpp's dense path gives up (bench/exact_vs_monte_carlo measures
+// the ceilings).
 
 #pragma once
 
@@ -108,9 +123,12 @@ class LumpedMarkovAnalysis {
   /// reached with probability 1).  The predicate must be constant on each
   /// orbit -- this is verified against every group image and violation
   /// throws std::invalid_argument.  Throws std::runtime_error if the
-  /// sparse solve fails to certify convergence.
+  /// solve fails to certify convergence.  When `report` is non-null it
+  /// receives the solve's certificate: SCC blocks, sweeps and residual
+  /// (blocks == 0 when the answer needed no solve).
   [[nodiscard]] std::optional<double> expected_hitting_time(
-      const ConfigPredicate& target) const;
+      const ConfigPredicate& target,
+      util::SolveCertificate* report = nullptr) const;
 
   /// Probability of eventual absorption in one bottom SCC of the orbit
   /// graph, keyed by the canonical representative of one of its orbits.
@@ -124,15 +142,22 @@ class LumpedMarkovAnalysis {
   };
 
   /// Exact absorption probabilities from the initial configuration; same
-  /// contract as MarkovAnalysis::absorption_probabilities.  Throws
-  /// std::runtime_error if a sparse solve fails to certify convergence.
-  [[nodiscard]] std::vector<Absorption> absorption_probabilities() const;
+  /// contract as MarkovAnalysis::absorption_probabilities.  Every bottom
+  /// SCC is a right-hand side of one block solve (in batches of at most
+  /// 32, so scratch stays O(32 * orbits)).  Throws std::runtime_error if
+  /// the solve fails to certify convergence.  `report`, when non-null,
+  /// receives the certificate as for expected_hitting_time(), with sweeps
+  /// summed and the worst residual over the batches.
+  [[nodiscard]] std::vector<Absorption> absorption_probabilities(
+      util::SolveCertificate* report = nullptr) const;
 
   /// Exact distribution of the hitting time of `target`: returns F with
   /// F[t] = P(target entered within the first t interactions), for
   /// t = 0..horizon (F[0] is 1 iff the initial configuration is a target).
   /// Computed by stepping the full lumped chain (self-loops included) with
-  /// targets made absorbing; the predicate must be orbit-invariant
+  /// targets made absorbing; an orbit holding less than the smallest
+  /// normal double of mass is not stepped.  The predicate must be
+  /// orbit-invariant
   /// (std::invalid_argument otherwise).  This is what the
   /// exact-distribution conformance net KS-tests engines against.
   [[nodiscard]] std::vector<double> hitting_time_cdf(
@@ -149,7 +174,37 @@ class LumpedMarkovAnalysis {
     std::uint64_t stay = 0;
   };
 
+  /// The system (I - Q) x = b over the orbits an `unknown` mask selects,
+  /// with Q the jump chain (self-loops folded into the leave rate)
+  /// restricted to them.  Rows are in ascending SCC order, so the matrix
+  /// is block lower triangular over `blocks`.
+  struct JumpSystem {
+    /// Row -> orbit.
+    std::vector<std::uint32_t> orbits;
+    /// Orbit -> row, UINT32_MAX for an orbit that is not an unknown.
+    std::vector<std::uint32_t> row_of;
+    /// Boundaries of the per-SCC diagonal blocks (util::
+    /// solve_block_triangular's `blocks`).
+    std::vector<std::uint32_t> blocks;
+    /// Per row: the orbit's leave numerator over denom_ (non-zero).
+    std::vector<std::uint64_t> leave;
+    /// I - Q in CSR form.
+    util::CsrMatrix a;
+  };
+
   LumpedMarkovAnalysis() = default;
+
+  /// Orders the selected orbits by SCC and assembles their JumpSystem.
+  [[nodiscard]] JumpSystem jump_system(const std::vector<char>& unknown) const;
+
+  /// Solves `system` for `num_rhs` row-interleaved right-hand sides by
+  /// util::solve_block_triangular, falling back to util::solve_sparse per
+  /// column if the certificate fails; throws std::runtime_error (naming
+  /// `what`) if it still fails.  `cert` receives the certificate.
+  [[nodiscard]] std::vector<double> certified_solve(
+      const JumpSystem& system, const std::vector<double>& b,
+      std::uint32_t num_rhs, const std::string& what,
+      util::SolveCertificate& cert) const;
 
   /// Evaluates `target` on every group image of each representative,
   /// throwing std::invalid_argument on an orbit-inconsistent predicate.

@@ -252,9 +252,10 @@ TEST(ServeServer, MarkovOrbitCapIsAnErrorFrameNotACrash) {
 }
 
 TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
-  // Migration: an exact entry written by a pre-schema daemon (no
-  // "exact_schema" member) must be recomputed, not replayed, and the
-  // recomputation overwrites it with a tagged frame.
+  // Migration: an exact entry written by an older daemon -- with no
+  // "exact_schema" member (v1) or with an older tag (v2, whose answers
+  // came from the whole-system sweep) -- must be recomputed, not replayed,
+  // and the recomputation overwrites it with a current frame.
   ServiceOptions options;
   options.state_dir = temp_dir("markov_mig");
   ScenarioService service(options);
@@ -270,35 +271,119 @@ TEST(ServeServer, UntaggedExactCacheEntryIsAMissAndGetsRetagged) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NE(results[0].find(kExactResultSchema), std::string::npos);
 
-  const std::string entry =
-      service.cache().exact_entry_path(scenario_hash_hex(spec));
+  const std::string hash = scenario_hash_hex(spec);
+  const std::string entry = service.cache().exact_entry_path(hash);
   ASSERT_TRUE(file_exists(entry));
 
-  // Simulate the v1 daemon: same answer, no schema tag.
-  {
-    std::ofstream out(entry, std::ios::trunc);
-    out << "{\"event\": \"result\", \"mode\": \"markov\", "
-           "\"expected_interactions\": 17.5}\n";
-  }
-  EXPECT_TRUE(service.handle_line(submit_line("m2", spec), log.emit()));
-  const std::vector<std::string> second = log.take();
-  ASSERT_EQ(of_kind(second, "accepted").size(), 1u);
-  EXPECT_NE(of_kind(second, "accepted")[0].find("\"cached\": false"),
-            std::string::npos);
-  const std::vector<std::string> recomputed = of_kind(second, "result");
-  ASSERT_EQ(recomputed.size(), 1u);
-  EXPECT_EQ(recomputed[0], results[0]);
+  // The same answer as the older daemons wrote it.
+  const std::string stale_frames[] = {
+      "{\"event\": \"result\", \"scenario\": \"" + hash +
+          "\", \"mode\": \"markov\", \"expected_interactions\": 17.5}",
+      "{\"event\": \"result\", \"scenario\": \"" + hash +
+          "\", \"mode\": \"markov\", \"exact_schema\": \"ppkd-exact-v2\", "
+          "\"expected_interactions\": 17.5}",
+  };
+  int round = 1;
+  for (const std::string& stale : stale_frames) {
+    SCOPED_TRACE(stale);
+    {
+      std::ofstream out(entry, std::ios::trunc);
+      out << stale << '\n';
+    }
+    const std::string id = "m" + std::to_string(++round);
+    EXPECT_TRUE(service.handle_line(submit_line(id, spec), log.emit()));
+    const std::vector<std::string> second = log.take();
+    ASSERT_EQ(of_kind(second, "accepted").size(), 1u);
+    EXPECT_NE(of_kind(second, "accepted")[0].find("\"cached\": false"),
+              std::string::npos);
+    const std::vector<std::string> recomputed = of_kind(second, "result");
+    ASSERT_EQ(recomputed.size(), 1u);
+    EXPECT_EQ(recomputed[0], results[0]);
 
-  // The entry on disk is tagged again: the third submission is a hit.
-  std::ifstream in(entry);
-  std::ostringstream stored;
-  stored << in.rdbuf();
-  EXPECT_NE(stored.str().find(kExactResultSchema), std::string::npos);
-  EXPECT_TRUE(service.handle_line(submit_line("m3", spec), log.emit()));
-  const std::vector<std::string> third = log.take();
-  ASSERT_EQ(of_kind(third, "accepted").size(), 1u);
-  EXPECT_NE(of_kind(third, "accepted")[0].find("\"cached\": true"),
-            std::string::npos);
+    // The entry on disk is tagged again: the next submission is a hit.
+    std::ifstream in(entry);
+    std::ostringstream stored;
+    stored << in.rdbuf();
+    EXPECT_NE(stored.str().find(kExactResultSchema), std::string::npos);
+    EXPECT_TRUE(service.handle_line(submit_line(id + "hit", spec), log.emit()));
+    const std::vector<std::string> third = log.take();
+    ASSERT_EQ(of_kind(third, "accepted").size(), 1u);
+    EXPECT_NE(of_kind(third, "accepted")[0].find("\"cached\": true"),
+              std::string::npos);
+  }
+}
+
+TEST(ServeServer, CacheEntryFiledUnderAnotherKeyIsRecomputed) {
+  // A hit must name the requested key in its own members: an entry copied
+  // under another scenario's hash, or under another seed, is a miss that
+  // is recomputed and overwritten, never another spec's answer replayed.
+  ServiceOptions options;
+  options.state_dir = temp_dir("misfiled");
+  ScenarioService service(options);
+  FrameLog log;
+
+  const auto run = [&](const std::string& id, const ScenarioSpec& spec,
+                       bool cached) {
+    EXPECT_TRUE(service.handle_line(submit_line(id, spec), log.emit()));
+    const std::vector<std::string> frames = log.take();
+    const std::vector<std::string> accepted = of_kind(frames, "accepted");
+    EXPECT_EQ(accepted.size(), 1u) << id;
+    if (!accepted.empty()) {
+      EXPECT_NE(accepted[0].find(cached ? "\"cached\": true"
+                                        : "\"cached\": false"),
+                std::string::npos)
+          << id;
+    }
+    const std::vector<std::string> results = of_kind(frames, "result");
+    EXPECT_EQ(results.size(), 1u) << id;
+    return results.empty() ? std::string() : results[0];
+  };
+  const auto copy = [](const std::string& from, const std::string& to) {
+    std::ifstream in(from, std::ios::binary);
+    std::ofstream out(to, std::ios::binary | std::ios::trunc);
+    out << in.rdbuf();
+  };
+
+  ScenarioSpec a;
+  a.n = 12;
+  a.trials = 2;
+  a.seed = 5;
+  a.budget = 1'000'000;
+  ScenarioSpec b = a;
+  b.n = 14;
+  ScenarioSpec a_seed = a;
+  a_seed.seed = 6;
+  const std::string a_result = run("a", a, false);
+  const std::string b_result = run("b", b, false);
+  const std::string a_seed_result = run("a6", a_seed, false);
+  ASSERT_NE(a_result, b_result);
+  ASSERT_NE(a_result, a_seed_result);
+
+  const ResultCache& cache = service.cache();
+  // Another scenario's entry under b's name, then another seed's entry
+  // under (a, 6)'s name: both are misses and recompute the right answer.
+  copy(cache.entry_path(scenario_hash_hex(a), a.seed),
+       cache.entry_path(scenario_hash_hex(b), b.seed));
+  EXPECT_EQ(run("b2", b, false), b_result);
+  EXPECT_EQ(run("b3", b, true), b_result);
+  copy(cache.entry_path(scenario_hash_hex(a), a.seed),
+       cache.entry_path(scenario_hash_hex(a_seed), a_seed.seed));
+  EXPECT_EQ(run("a7", a_seed, false), a_seed_result);
+  EXPECT_EQ(run("a8", a_seed, true), a_seed_result);
+
+  // The same for exact entries.
+  ScenarioSpec m;
+  m.k = 2;
+  m.n = 5;
+  m.mode = ScenarioMode::kMarkov;
+  ScenarioSpec m_other = m;
+  m_other.n = 6;
+  const std::string m_result = run("m", m, false);
+  (void)run("m_other", m_other, false);
+  copy(cache.exact_entry_path(scenario_hash_hex(m_other)),
+       cache.exact_entry_path(scenario_hash_hex(m)));
+  EXPECT_EQ(run("m2", m, false), m_result);
+  EXPECT_EQ(run("m3", m, true), m_result);
 }
 
 TEST(ServeServer, StaleEngineLawSimEntryIsRecomputedNotReplayed) {
@@ -327,11 +412,14 @@ TEST(ServeServer, StaleEngineLawSimEntryIsRecomputedNotReplayed) {
   const std::string entry =
       service.cache().entry_path(scenario_hash_hex(spec), spec.seed);
   ASSERT_TRUE(file_exists(entry));
+  // Each names the right (scenario, seed), so only the law stamp differs.
+  const std::string key = "{\"event\": \"result\", \"scenario\": \"" +
+                          scenario_hash_hex(spec) + "\", \"seed\": 5, ";
   const std::string stale_frames[] = {
-      "{\"event\": \"result\", \"mode\": \"simulate\", \"trials\": []}",
-      "{\"event\": \"result\", \"mode\": \"simulate\", \"engine_law\": " +
+      key + "\"mode\": \"simulate\", \"trials\": []}",
+      key + "\"mode\": \"simulate\", \"engine_law\": " +
           std::to_string(pp::kEngineLawVersion - 1) + ", \"trials\": []}",
-      "{\"event\": \"result\", \"mode\": \"simulate\", \"engine_law\": " +
+      key + "\"mode\": \"simulate\", \"engine_law\": " +
           std::to_string(pp::kEngineLawVersion * 10) + ", \"trials\": []}",
   };
   int round = 0;

@@ -8,14 +8,20 @@
 //  * rejection of a symmetry declaration that is not one;
 //  * the ceiling claim -- for each family, a size where the dense path
 //    refuses (recoverably) and the lumped path answers;
-//  * exact hand-computed pins of the hitting-time CDF.
+//  * exact hand-computed pins of the hitting-time CDF;
+//  * the SCC block solve against a whole-system sweep, and the CDF kernel
+//    pinned bit for bit.
 
 #include "verify/lumped_markov.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +31,7 @@
 #include "core/weak_kpartition.hpp"
 #include "pp/symmetry.hpp"
 #include "pp/transition_table.hpp"
+#include "util/csr.hpp"
 #include "verify/markov.hpp"
 
 namespace ppk::verify {
@@ -199,6 +206,166 @@ TEST(LumpedMarkov, BipartitionHandComputedPinsAreExact) {
   double tail_sum = 0.0;
   for (const double f : cdf) tail_sum += 1.0 - f;
   EXPECT_NEAR(tail_sum, 3.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The block solve against a whole-system sweep, and the CDF kernel's pins
+
+/// E[T] of the lumped chain by util::solve_sparse on a system assembled
+/// here, from the public orbit representatives and the transition table,
+/// independently of the analysis's own SCC-ordered assembly.  Rows run in
+/// reverse exploration order, so sweeps start near the targets.
+double sweep_reference(const LumpedMarkovAnalysis& lumped,
+                       const pp::TransitionTable& table,
+                       const pp::SymmetrySpec& symmetry,
+                       const ConfigPredicate& target) {
+  const auto group = pp::expand_symmetry_group(symmetry, 4096);
+  const auto canonical = [&](const pp::Counts& counts) {
+    pp::Counts best = counts;
+    for (const auto& g : group) {
+      pp::Counts image = pp::permute_counts(g, counts);
+      if (image < best) best = std::move(image);
+    }
+    return best;
+  };
+  const auto orbits = static_cast<std::uint32_t>(lumped.num_orbits());
+  std::map<pp::Counts, std::uint32_t> orbit_of;
+  for (std::uint32_t o = 0; o < orbits; ++o) {
+    orbit_of[lumped.representative(o)] = o;
+  }
+  std::vector<std::uint32_t> row_of(orbits, UINT32_MAX);
+  std::uint32_t m = 0;
+  for (std::uint32_t o = orbits; o-- > 0;) {
+    if (!target(lumped.representative(o))) row_of[o] = m++;
+  }
+
+  const std::uint64_t n = lumped.population_size();
+  util::CsrBuilder builder(m, m);
+  std::vector<double> b(m);
+  for (std::uint32_t o = 0; o < orbits; ++o) {
+    if (row_of[o] == UINT32_MAX) continue;
+    const pp::Counts& c = lumped.representative(o);
+    std::map<std::uint32_t, std::uint64_t> out;
+    std::uint64_t leave = 0;
+    for (pp::StateId p = 0; p < c.size(); ++p) {
+      for (pp::StateId q = 0; q < c.size(); ++q) {
+        if (c[p] == 0 || c[q] < (p == q ? 2u : 1u)) continue;
+        if (!table.effective(p, q)) continue;
+        const pp::Transition& t = table.apply(p, q);
+        pp::Counts next = c;
+        --next[p];
+        --next[q];
+        ++next[t.initiator];
+        ++next[t.responder];
+        const std::uint32_t to = orbit_of.at(canonical(next));
+        if (to == o) continue;
+        const std::uint64_t rate =
+            std::uint64_t{c[p]} * (c[q] - (p == q ? 1u : 0u));
+        out[to] += rate;
+        leave += rate;
+      }
+    }
+    builder.add(row_of[o], row_of[o], 1.0);
+    for (const auto& [to, rate] : out) {
+      if (row_of[to] == UINT32_MAX) continue;
+      builder.add(row_of[o], row_of[to],
+                  -static_cast<double>(rate) / static_cast<double>(leave));
+    }
+    b[row_of[o]] =
+        static_cast<double>(n * (n - 1)) / static_cast<double>(leave);
+  }
+  std::vector<double> x(m, 0.0);
+  const util::SolveCertificate cert =
+      util::solve_sparse(builder.build(), b, x);
+  EXPECT_TRUE(cert.converged) << "residual " << cert.residual;
+  return x[row_of[0]];
+}
+
+TEST(LumpedMarkov, BlockSolveMatchesAWholeSystemSweep) {
+  struct Case {
+    pp::GroupId k;
+    std::uint32_t n;
+  };
+  for (const Case c : {Case{2, 120}, Case{3, 20}, Case{4, 14}}) {
+    SCOPED_TRACE("k=" + std::to_string(c.k) + " n=" + std::to_string(c.n));
+    const core::KPartitionProtocol protocol(c.k);
+    const pp::TransitionTable table(protocol);
+    const auto lumped = LumpedMarkovAnalysis::try_build(
+        table, protocol.symmetry(), initial_counts(protocol, c.n));
+    ASSERT_TRUE(lumped.has_value());
+    const ConfigPredicate target = [&](const pp::Counts& config) {
+      return core::matches_stable_pattern(protocol, c.n, config);
+    };
+
+    util::SolveCertificate report;
+    const auto blocked = lumped->expected_hitting_time(target, &report);
+    ASSERT_TRUE(blocked.has_value());
+    EXPECT_TRUE(report.converged);
+    EXPECT_LE(report.residual, report.residual_bound);
+    EXPECT_GT(report.blocks, 1u);
+    EXPECT_GE(report.blocks, report.direct_blocks);
+    EXPECT_LE(report.largest_block, lumped->num_orbits());
+
+    const double swept =
+        sweep_reference(*lumped, table, protocol.symmetry(), target);
+    EXPECT_NEAR(*blocked / swept, 1.0, 1e-9)
+        << "blocked=" << *blocked << " swept=" << swept;
+  }
+}
+
+TEST(LumpedMarkov, UncertifiedSolveThrowsAfterTheFallback) {
+  // One sweep is far too few for the k = 3 chain's large SCC block, and
+  // for the whole-system fallback: both queries must throw, not answer.
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  constexpr std::uint32_t kN = 20;
+  const ConfigPredicate target = [&](const pp::Counts& config) {
+    return core::matches_stable_pattern(protocol, kN, config);
+  };
+  const auto certified = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial_counts(protocol, kN));
+  ASSERT_TRUE(certified.has_value());
+  util::SolveCertificate report;
+  ASSERT_TRUE(certified->expected_hitting_time(target, &report).has_value());
+  ASSERT_GT(report.largest_block, util::kDirectBlockCap);
+
+  LumpedOptions options;
+  options.solver.max_sweeps = 1;
+  const auto starved = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial_counts(protocol, kN), options);
+  ASSERT_TRUE(starved.has_value());
+  EXPECT_THROW((void)starved->expected_hitting_time(target),
+               std::runtime_error);
+  EXPECT_THROW((void)starved->absorption_probabilities(), std::runtime_error);
+}
+
+TEST(LumpedMarkov, CdfIsPinnedAndItsTailSumIsTheExpectation) {
+  // F of the k-partition at k = 3, n = 18, pinned bit for bit to the
+  // values of the kernel that stepped every orbit, sub-normal mass too.
+  const core::KPartitionProtocol protocol(3);
+  const pp::TransitionTable table(protocol);
+  constexpr std::uint32_t kN = 18;
+  const auto lumped = LumpedMarkovAnalysis::try_build(
+      table, protocol.symmetry(), initial_counts(protocol, kN));
+  ASSERT_TRUE(lumped.has_value());
+  const ConfigPredicate target = [&](const pp::Counts& config) {
+    return core::matches_stable_pattern(protocol, kN, config);
+  };
+  const auto expected = lumped->expected_hitting_time(target);
+  ASSERT_TRUE(expected.has_value());
+
+  const auto horizon = static_cast<std::size_t>(std::ceil(60.0 * *expected));
+  const std::vector<double> cdf = lumped->hitting_time_cdf(target, horizon);
+  ASSERT_EQ(cdf.size(), horizon + 1);
+  EXPECT_EQ(cdf[10], 0.0);
+  EXPECT_EQ(cdf[100], 0x1.9321aef9b84d8p-5);
+  EXPECT_EQ(cdf[1000], 0x1.fc5ccdcfc3d82p-1);
+
+  // E[T] = sum_t P(T > t) = sum_t (1 - F[t]).
+  double tail_sum = 0.0;
+  for (std::size_t t = 0; t + 1 < cdf.size(); ++t) tail_sum += 1.0 - cdf[t];
+  EXPECT_NEAR(tail_sum / *expected, 1.0, 1e-9)
+      << "tail=" << tail_sum << " E[T]=" << *expected;
 }
 
 // ---------------------------------------------------------------------------
